@@ -18,6 +18,7 @@ import argparse
 import copy
 import json
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -226,13 +227,14 @@ def problem_from_config(config: RunConfig, energy: float | None = None) -> Bound
     )
 
 
-def _reference_values(
-    config: RunConfig, bvp: BoundaryValueProblem, xs: np.ndarray
-) -> tuple[np.ndarray, str]:
-    """Reference solution on xs: the closed form for the ground-state
-    configuration, otherwise the Numerov oracle interpolated to xs."""
+def _reference(
+    config: RunConfig, bvp: BoundaryValueProblem
+) -> tuple[Callable[[np.ndarray], np.ndarray], str]:
+    """Reference solution as a function of x, and its kind: the closed form
+    for the ground-state configuration, otherwise the Numerov oracle,
+    integrated once here and interpolated at each call."""
     if bvp.y_f == 0.0 and bvp.y_a == 0.0:
-        return np.zeros_like(xs), "trivial"
+        return np.zeros_like, "trivial"
     if (
         bvp.l == 0
         and float(config.family["Z"]) == 1.0
@@ -240,9 +242,9 @@ def _reference_values(
         and bvp.y_a == 0.0
         and bvp.a == 0.0
     ):
-        return np.asarray(reduced_ground_state(bvp.b, bvp.y_f, xs)), "closed-form"
+        return (lambda xs: np.asarray(reduced_ground_state(bvp.b, bvp.y_f, xs))), "closed-form"
     oracle = numerov_oracle(bvp, 100_000)
-    return np.interp(xs, oracle.x, oracle.y), "numerov"
+    return (lambda xs: np.interp(xs, oracle.x, oracle.y)), "numerov"
 
 
 def _rel_l2(y: np.ndarray, ref: np.ndarray) -> float | None:
@@ -323,7 +325,8 @@ def cmd_solve(config: RunConfig) -> int:
     xs = np.linspace(bvp.a, bvp.b, int(config.output.get("export_points", 201)))
     y = np.atleast_1d(sol.eval(xs))
     res = spectral.residual(sol, xs)
-    ref, ref_kind = _reference_values(config, bvp, xs)
+    reference, ref_kind = _reference(config, bvp)
+    ref = reference(xs)
     path = csvio.write_csv(
         out_dir / "solution.csv",
         ["x", "y_numeric", "y_reference", "residual"],
@@ -341,7 +344,7 @@ def cmd_solve(config: RunConfig) -> int:
     lo, hi = bvp.a + _MID_LO * span, bvp.a + _MID_HI * span
     xm = np.linspace(lo, hi, 201)
     ym = np.atleast_1d(sol.eval(xm))
-    refm, _ = _reference_values(config, bvp, xm)
+    refm = reference(xm)
     dense = spectral._scan_grid(bvp)
     report = {
         "config": config.to_dict(),
@@ -421,7 +424,8 @@ def cmd_compare_bases(config: RunConfig) -> int:
     bvp = problem_from_config(config)
     span = bvp.b - bvp.a
     xm = np.linspace(bvp.a + _MID_LO * span, bvp.a + _MID_HI * span, 201)
-    refm, _ = _reference_values(config, bvp, xm)
+    reference, _ = _reference(config, bvp)
+    refm = reference(xm)
 
     rows = []
     for name, B in candidates:

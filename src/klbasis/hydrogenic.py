@@ -20,7 +20,9 @@ import numpy as np
 
 from .errors import NumericalError
 
-_SHELL_LETTERS = "spdfghik"
+# Standard spectroscopic letters for l = 0..20: s p d f, then alphabetical
+# from g, skipping j and the letters already used.
+_SHELL_LETTERS = "spdfghiklmnoqrtuvwxyz"
 
 __all__ = [
     "OrbitalSpec",
@@ -54,8 +56,11 @@ class OrbitalSpec:
 
     @property
     def label(self) -> str:
-        """Spectroscopic label, e.g. '1s', '3d'."""
-        return f"{self.n}{_SHELL_LETTERS[self.l]}"
+        """Spectroscopic label, e.g. '1s', '3d', '10m'; past the letter
+        table (l > 20) the label spells l out, e.g. '22[l=21]'."""
+        if self.l < len(_SHELL_LETTERS):
+            return f"{self.n}{_SHELL_LETTERS[self.l]}"
+        return f"{self.n}[l={self.l}]"
 
 
 @dataclass(frozen=True)
@@ -197,7 +202,11 @@ def reduced_ground_state(b: float, y_f: float, x):
 
 @dataclass(frozen=True)
 class NumerovSolution:
-    """Shooting result: samples y on the uniform grid x, plus diagnostics."""
+    """Shooting result: samples y on the uniform grid x, plus diagnostics.
+
+    `iterations` is the number of Numerov sweeps run: 0 for the trivial
+    zero solution, 1 from the origin, 2 from a general left endpoint.
+    """
 
     x: np.ndarray
     y: np.ndarray
@@ -284,12 +293,16 @@ def _oracle_potential(bvp: BoundaryValueProblem, x: np.ndarray) -> np.ndarray:
 
 def numerov_oracle(bvp: BoundaryValueProblem, n_points: int) -> NumerovSolution:
     """Integrate the boundary-value problem with the Numerov scheme,
-    shooting on the initial slope until y(b) matches y_f.
+    fixing the initial slope by linear shooting (superposition).
 
-    The slope search is a bisection over [-1e10, 1e10] * y_f, monotone
-    because the equation is linear in y; capped at 200 iterations. When
-    the left endpoint is the origin with y(0) = 0, the trial slope scales
-    the regular-series start (for l = 0 it is the literal slope).
+    The equation is linear, so a sweep from y(a) = y_a with initial slope s
+    is y = u + s v, where u is the sweep with slope 0 and v the sweep from
+    y(a) = 0 with unit slope; y(b) = y_f then gives s = (y_f - u(b)) / v(b)
+    directly. When the left endpoint is the origin with y(0) = 0, u vanishes
+    and v starts from the regular series (for l = 0, s is the literal slope),
+    so one sweep suffices; otherwise two are run. The result must meet y(b)
+    to 1e-12 |y_f|; if rounding in u + s v misses that, the residual is
+    removed along v once more and 1e-8 |y_f| is accepted.
     """
     if n_points < 1000:
         raise ValueError(f"n_points must be >= 1000, got {n_points}")
@@ -302,45 +315,28 @@ def numerov_oracle(bvp: BoundaryValueProblem, n_points: int) -> NumerovSolution:
     if bvp.y_f == 0.0:
         if bvp.y_a == 0.0:
             return NumerovSolution(x=x, y=np.zeros(n_points), slope=0.0, iterations=0)
-        raise NumericalError("slope bracket [0, 0] cannot shoot onto a nonzero boundary")
+        raise NumericalError("cannot shoot onto y(b) = 0 from a nonzero y(a)")
 
     if bvp.a == 0.0 and bvp.y_a == 0.0:
         seed1 = float(_regular_series(bvp, x[1]))
         seed2 = float(_regular_series(bvp, x[2]))
-
-        def shoot(slope: float) -> list:
-            return _numerov_sweep([0.0, slope * seed1, slope * seed2], coef, incr)
-
+        u = np.zeros(n_points)
+        v = np.asarray(_numerov_sweep([0.0, seed1, seed2], coef, incr))
+        sweeps = 1
     else:
+        u = np.asarray(_numerov_sweep([bvp.y_a, bvp.y_a], coef, incr))
+        v = np.asarray(_numerov_sweep([0.0, h], coef, incr))
+        sweeps = 2
 
-        def shoot(slope: float) -> list:
-            return _numerov_sweep([bvp.y_a, bvp.y_a + slope * h], coef, incr)
-
-    lo, hi = sorted((-1e10 * bvp.y_f, 1e10 * bvp.y_f))
-    f_lo = shoot(lo)[-1] - bvp.y_f
-    f_hi = shoot(hi)[-1] - bvp.y_f
-    if f_lo == 0.0:
-        return NumerovSolution(x=x, y=np.asarray(shoot(lo)), slope=lo, iterations=0)
-    if f_hi == 0.0:
-        return NumerovSolution(x=x, y=np.asarray(shoot(hi)), slope=hi, iterations=0)
-    if (f_lo > 0) == (f_hi > 0):
-        raise NumericalError("slope bracket lacks a sign change; no matching solution")
-
-    tol = 1e-12 * abs(bvp.y_f)
-    y_mid = None
-    mid = lo
-    for it in range(1, 201):
-        mid = 0.5 * (lo + hi)
-        y_mid = shoot(mid)
-        f_mid = y_mid[-1] - bvp.y_f
-        if abs(f_mid) <= tol:
-            return NumerovSolution(x=x, y=np.asarray(y_mid), slope=mid, iterations=it)
-        if (f_mid > 0) == (f_hi > 0):
-            hi, f_hi = mid, f_mid
-        else:
-            lo, f_lo = mid, f_mid
-        if hi - lo <= 1e-16 * max(abs(lo), abs(hi), 1e-300):
-            break
-    if y_mid is not None and abs(y_mid[-1] - bvp.y_f) <= 1e-8 * abs(bvp.y_f):
-        return NumerovSolution(x=x, y=np.asarray(y_mid), slope=mid, iterations=it)
-    raise NumericalError("slope bisection exhausted without matching y(b)")
+    v_b = float(v[-1])
+    slope = (bvp.y_f - float(u[-1])) / v_b if v_b != 0.0 else math.inf
+    if not math.isfinite(slope):
+        raise NumericalError("unit-slope sweep vanishes at b; no slope matches y(b)")
+    y = u + slope * v
+    if abs(y[-1] - bvp.y_f) > 1e-12 * abs(bvp.y_f):
+        correction = (bvp.y_f - float(y[-1])) / v_b
+        slope += correction
+        y = y + correction * v
+    if not abs(y[-1] - bvp.y_f) <= 1e-8 * abs(bvp.y_f):
+        raise NumericalError("superposed sweeps do not match y(b)")
+    return NumerovSolution(x=x, y=y, slope=slope, iterations=sweeps)

@@ -9,9 +9,7 @@ reconstruction error among all bases of the same size.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -176,59 +174,19 @@ def _apply_sign_convention(phi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _jacobi_diagonalize(K: np.ndarray, max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi rotations; converged when the off-diagonal Frobenius
-    norm falls below 1e-14 of the full Frobenius norm."""
-    A = K.copy()
-    n = A.shape[0]
-    V = np.eye(n)
-    norm_k = float(np.linalg.norm(K, "fro"))
-    if norm_k == 0.0:
-        return np.zeros(n), V
-
-    def off_norm() -> float:
-        off = A - np.diag(np.diag(A))
-        return float(np.linalg.norm(off, "fro"))
-
-    for _ in range(max_sweeps):
-        if off_norm() <= 1e-14 * norm_k:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = (1.0 if tau >= 0 else -1.0) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rp = A[p, :].copy()
-                rq = A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                cp = A[:, p].copy()
-                cq = A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-    else:
-        if off_norm() > 1e-14 * norm_k:
-            raise NumericalError("Jacobi diagonalization did not converge in 100 sweeps")
-    return np.diag(A).copy(), V
-
-
 def eig_sym(K: CovarianceMatrix, grid: Grid | None = None) -> KLBasis:
     """All eigenpairs of a symmetric matrix, eigenvalues descending.
 
-    Deterministic sign convention: in every eigenvector the entry of
-    largest absolute value is positive (ties broken by lowest index).
+    LAPACK's symmetric eigensolver (`np.linalg.eigh`) does the work; the
+    eigenvalues are then ordered descending by a stable sort, and each
+    eigenvector gets a deterministic sign: its entry of largest absolute
+    value is positive (ties broken by lowest index). A solver failure is
+    reported as NumericalError.
     """
-    lam, V = _jacobi_diagonalize(K.K)
+    try:
+        lam, V = np.linalg.eigh(K.K)
+    except np.linalg.LinAlgError as err:
+        raise NumericalError(f"symmetric eigensolver failed: {err}") from err
     order = np.argsort(-lam, kind="stable")
     lam = lam[order]
     V = _apply_sign_convention(V[:, order])
@@ -322,11 +280,3 @@ def basis_json_doc(basis: KLBasis) -> dict:
         "eigenvalues": basis.eigenvalues.tolist(),
         "vectors": [basis.vectors[:, j].tolist() for j in range(basis.n)],
     }
-
-
-def write_basis_json(basis: KLBasis, path) -> Path:
-    path = Path(path)
-    with open(path, "w", newline="\n") as fh:
-        json.dump(basis_json_doc(basis), fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    return path

@@ -81,6 +81,22 @@ class TestGenBasis:
         assert len(doc["eigenvalues"]) == 20
         assert doc["config"]["sampling"]["N_s"] == 20
 
+    def test_high_angular_momentum_family(self, tmp_path):
+        # n_max = 10 includes l = 8, 9, past the first eight shell letters
+        cfg = write_config(
+            tmp_path,
+            {
+                "family": {"n_max": 10},
+                "sampling": {"kind": "chebyshev-lobatto", "N_s": 80, "b": 80.0},
+                "truncation": {"criterion": "energy_fraction", "value": 0.99999},
+            },
+        )
+        out = tmp_path / "out"
+        assert run(["gen-basis", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        hdr, rows = read_csv(out / "samples.csv")
+        assert hdr[-1] == "orb_10m"
+        assert len(rows) == 80
+
 
 class TestSolve:
     def test_reproduction_report(self, tmp_path):
@@ -115,6 +131,23 @@ class TestSolve:
             assert run(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 0
             norms[m] = read_json(out / "report.json")["residual_norm"]
         assert norms[12] <= norms[8]
+
+    def test_excited_state_uses_numerov_reference_once(self, tmp_path, monkeypatch):
+        calls = []
+        oracle = cli.numerov_oracle
+
+        def counted(bvp, n_points):
+            calls.append(n_points)
+            return oracle(bvp, n_points)
+
+        monkeypatch.setattr(cli, "numerov_oracle", counted)
+        cfg = write_config(tmp_path, {"problem": {"n": 2, "l": 1, "E": -0.125, "b": 20.0}})
+        out = tmp_path / "out"
+        assert run(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        report = read_json(out / "report.json")
+        assert report["reference"] == "numerov"
+        assert report["rel_l2_error_mid"] <= 0.03
+        assert len(calls) == 1
 
 
 class TestScanEnergy:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_bvp
 from scipy.special import eval_genlaguerre
 
 from klbasis.errors import NumericalError
@@ -170,6 +170,8 @@ class TestNumerovOracle:
         ref = reduced_ground_state(reproduction_bvp.b, reproduction_bvp.y_f, sol.x[mask])
         rel = np.max(np.abs(sol.y[mask] - ref) / np.abs(ref))
         assert rel <= 1e-6
+        assert abs(sol.y[-1] - reproduction_bvp.y_f) <= 1e-12 * reproduction_bvp.y_f
+        assert sol.iterations == 1
 
     def test_zero_boundary_gives_zero_solution(self):
         bvp = BoundaryValueProblem(l=0, Z=1.0, E=-0.5, a=0.0, b=7.0, y_a=0.0, y_f=0.0)
@@ -185,6 +187,36 @@ class TestNumerovOracle:
         ref = sol.x[mask] ** 2 * np.exp(-sol.x[mask] / 2.0)
         rel = np.max(np.abs(sol.y[mask] - ref) / np.abs(ref))
         assert rel <= 1e-5
+        assert abs(sol.y[-1] - y_f) <= 1e-12 * y_f
+        assert sol.iterations == 1
+
+    @pytest.mark.parametrize(
+        "bvp",
+        [
+            BoundaryValueProblem(l=0, Z=1.0, E=-0.5, a=1.0, b=7.0, y_a=0.5, y_f=0.5),
+            # u(b) is ~2e4 against y_f = 1e-6: u + s v cancels to ~1e-7 relative
+            # at b, so the boundary is met only after the residual correction
+            BoundaryValueProblem(l=2, Z=1.0, E=-0.3, a=0.5, b=15.0, y_a=0.1, y_f=1e-6),
+        ],
+        ids=["l0", "l2-cancelling"],
+    )
+    def test_general_start_matches_collocation_bvp_solver(self, bvp):
+        def rhs(x, Y):
+            return np.vstack([Y[1], 2.0 * (bvp.potential(x) - bvp.E) * Y[0]])
+
+        def bc(ya, yb):
+            return np.array([ya[0] - bvp.y_a, yb[0] - bvp.y_f])
+
+        mesh = np.linspace(bvp.a, bvp.b, 400)
+        guess = np.vstack([np.linspace(bvp.y_a, bvp.y_f, mesh.size), np.zeros(mesh.size)])
+        ref = solve_bvp(rhs, bc, mesh, guess, tol=1e-10, max_nodes=200_000)
+        assert ref.status == 0
+        sol = numerov_oracle(bvp, 100_000)
+        err = np.max(np.abs(sol.y - ref.sol(sol.x)[0])) / np.max(np.abs(sol.y))
+        assert err <= 1e-6
+        assert abs(sol.y[-1] - bvp.y_f) <= 1e-12 * abs(bvp.y_f)
+        assert sol.y[0] == bvp.y_a
+        assert sol.iterations == 2
 
     def test_rejects_coarse_grid(self, reproduction_bvp):
         with pytest.raises(ValueError):
@@ -208,6 +240,15 @@ class TestFamily:
         assert family28.count == 28
         assert family28.labels[:6] == ["1s", "2s", "2p", "3s", "3p", "3d"]
         assert family28.labels[-1] == "7i"
+
+    def test_labels_beyond_i(self):
+        assert make_family(10).labels[-3:] == ["10k", "10l", "10m"]
+
+    def test_labels_unique_past_letter_table(self):
+        labels = make_family(25).labels
+        assert len(set(labels)) == len(labels)
+        assert OrbitalSpec(21, 20).label == "21z"
+        assert OrbitalSpec(22, 21).label == "22[l=21]"
 
     def test_bvp_validation(self):
         with pytest.raises(ValueError):

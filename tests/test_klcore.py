@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from klbasis import klcore
+from klbasis.errors import NumericalError
 from klbasis.klcore import (
     CovarianceMatrix,
     EnergyFraction,
@@ -127,6 +128,14 @@ class TestEigSym:
         assert np.allclose(
             scaled.vectors[:, meaningful], base.vectors[:, meaningful], atol=1e-9
         )
+
+    def test_solver_failure_is_numerical_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(klcore.np.linalg, "eigh", fail)
+        with pytest.raises(NumericalError):
+            eig_sym(random_psd(4, 0))
 
 
 class TestTruncation:
