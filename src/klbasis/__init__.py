@@ -38,7 +38,7 @@ from .klcore import (
     reconstruction_mse,
     truncate_basis,
 )
-from .basisfn import BasisFunction, basis_function, interpolate
+from .basisfn import BasisFunction, interpolate
 from .spectral import (
     CollocationProblem,
     EnergyScan,

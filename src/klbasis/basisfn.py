@@ -1,11 +1,12 @@
 """Continuously evaluable basis functions from discrete eigenvectors.
 
-Each eigenvector is promoted to the unique degree-(N_s - 1) polynomial
-through its samples, evaluated in barycentric Lagrange form. Derivatives
-come from the differentiation matrix of the node set applied to the
-samples, then interpolated the same way; expanding the interpolant into
-monomial coefficients would be numerically toxic at these degrees while
-representing the very same polynomial.
+The kept eigenvectors are promoted together to the unique
+degree-(N_s - 1) polynomials through their samples, evaluated in
+barycentric Lagrange form. Derivatives come from the differentiation
+matrix of the node set applied to the samples, then interpolated the
+same way; expanding the interpolant into monomial coefficients would be
+numerically toxic at these degrees while representing the very same
+polynomials.
 """
 
 from __future__ import annotations
@@ -14,16 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import csvio
 from .klcore import TruncatedBasis
 
 __all__ = [
     "BasisFunction",
     "barycentric_weights",
     "differentiation_matrix",
-    "basis_function",
     "interpolate",
-    "tabulate_csv_text",
 ]
 
 
@@ -50,7 +48,6 @@ def differentiation_matrix(nodes: np.ndarray, weights: np.ndarray | None = None)
     nodes = np.asarray(nodes, dtype=float)
     if weights is None:
         weights = barycentric_weights(nodes)
-    n = nodes.size
     diff = nodes[:, None] - nodes[None, :]
     np.fill_diagonal(diff, 1.0)
     D = (weights[None, :] / weights[:, None]) / diff
@@ -59,52 +56,34 @@ def differentiation_matrix(nodes: np.ndarray, weights: np.ndarray | None = None)
     return D
 
 
-def _bary_eval(nodes, weights, samples, x):
-    """Evaluate the barycentric interpolant at x (scalar or array);
-    returns the stored sample exactly when x hits a node."""
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xa < nodes[0]) or np.any(xa > nodes[-1]):
-        raise ValueError(
-            f"evaluation point outside [{nodes[0]}, {nodes[-1]}]; no extrapolation"
-        )
-    diff = xa[:, None] - nodes[None, :]
-    hit = diff == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = weights[None, :] / diff
-        out = (ratio @ samples) / ratio.sum(axis=1)
-    rows, cols = np.nonzero(hit)
-    out[rows] = samples[cols]
-    return out if np.ndim(x) else float(out[0])
-
-
 @dataclass(frozen=True)
 class BasisFunction:
-    """One interpolated mode: samples on the nodes plus precomputed
-    derivative samples. Immutable after construction."""
+    """All kept modes as one interpolant on a shared node set.
+
+    `samples` is (N_s x M), one column per mode; a 1-d array is a single
+    function. The barycentric weights and the derivative samples D S and
+    D^2 S are computed once, at construction. Immutable.
+    """
 
     nodes: np.ndarray
     samples: np.ndarray
-    mode_index: int = 0
-    representation: str = "barycentric-lagrange"
-    _weights: np.ndarray | None = field(repr=False, default=None)
-    _deriv1: np.ndarray | None = field(repr=False, default=None)
-    _deriv2: np.ndarray | None = field(repr=False, default=None)
+    weights: np.ndarray = field(init=False, repr=False)
+    _derivs: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
         samples = np.asarray(self.samples, dtype=float)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "samples", samples)
-        if nodes.size != samples.size:
-            raise ValueError("nodes and samples must have equal length")
+        if nodes.ndim != 1 or samples.ndim not in (1, 2) or samples.shape[0] != nodes.size:
+            raise ValueError("samples need one row per interpolation node")
         if np.unique(nodes).size != nodes.size:
             raise ValueError("interpolation nodes must be distinct")
-        if self._weights is None:
-            object.__setattr__(self, "_weights", barycentric_weights(nodes))
-        if self._deriv1 is None or self._deriv2 is None:
-            D = differentiation_matrix(nodes, self._weights)
-            object.__setattr__(self, "_deriv1", D @ samples)
-            object.__setattr__(self, "_deriv2", D @ (D @ samples))
+        weights = barycentric_weights(nodes)
+        D = differentiation_matrix(nodes, weights)
+        d1 = D @ samples
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "_derivs", (d1, D @ d1))
 
     @property
     def a(self) -> float:
@@ -114,63 +93,35 @@ class BasisFunction:
     def b(self) -> float:
         return float(self.nodes[-1])
 
-    def eval(self, x):
-        return _bary_eval(self.nodes, self._weights, self.samples, x)
+    def _interpolate(self, values: np.ndarray, x):
+        """Barycentric interpolant of `values` (one row per node) at x:
+        (len(x) x M) for array x, (M,) for scalar x. A point on a node
+        returns that node's row exactly."""
+        xa = np.atleast_1d(np.asarray(x, dtype=float))
+        if np.any(xa < self.nodes[0]) or np.any(xa > self.nodes[-1]):
+            raise ValueError(
+                f"evaluation point outside [{self.a}, {self.b}]; no extrapolation"
+            )
+        diff = xa[:, None] - self.nodes[None, :]
+        hit = diff == 0.0
+        on_node = hit.any(axis=1)
+        diff[hit] = 1.0
+        L = self.weights / diff
+        L[on_node] = hit[on_node]
+        out = (L / L.sum(axis=1, keepdims=True)) @ values
+        return out if np.ndim(x) else out[0]
 
-    __call__ = eval
+    def eval(self, x):
+        return self._interpolate(self.samples, x)
 
     def deriv(self, x, order: int = 1):
-        if order == 1:
-            d = self._deriv1
-        elif order == 2:
-            d = self._deriv2
-        else:
+        if order not in (1, 2):
             raise ValueError(f"derivative order must be 1 or 2, got {order}")
-        return _bary_eval(self.nodes, self._weights, d, x)
+        return self._interpolate(self._derivs[order - 1], x)
 
 
-def basis_function(
-    nodes,
-    samples,
-    mode_index: int = 0,
-    D: np.ndarray | None = None,
-    weights: np.ndarray | None = None,
-) -> BasisFunction:
-    """Build one BasisFunction; pass the differentiation matrix and
-    weights to share them across modes on the same node set."""
-    samples = np.asarray(samples, dtype=float)
-    if weights is not None and D is not None:
-        d1 = D @ samples
-        d2 = D @ d1
-    else:
-        d1 = d2 = None
-    return BasisFunction(
-        nodes=nodes,
-        samples=samples,
-        mode_index=mode_index,
-        _weights=weights,
-        _deriv1=d1,
-        _deriv2=d2,
-    )
-
-
-def interpolate(basis: TruncatedBasis) -> list[BasisFunction]:
-    """One continuously evaluable function per retained mode."""
+def interpolate(basis: TruncatedBasis) -> BasisFunction:
+    """One interpolant over all retained modes, on the basis's grid."""
     if basis.grid is None:
         raise ValueError("truncated basis carries no grid to interpolate on")
-    nodes = basis.grid.points
-    weights = barycentric_weights(nodes)
-    D = differentiation_matrix(nodes, weights)
-    return [
-        basis_function(nodes, basis.vectors[:, j], mode_index=j, D=D, weights=weights)
-        for j in range(basis.M)
-    ]
-
-
-def tabulate_csv_text(funcs: list[BasisFunction], xs) -> str:
-    """Dense tabulation (x, phi_0(x), ..., phi_{M-1}(x)) as CSV."""
-    xs = np.asarray(xs, dtype=float)
-    cols = [f.eval(xs) for f in funcs]
-    header = ["x"] + [f"phi_{f.mode_index}" for f in funcs]
-    rows = ([xs[i]] + [c[i] for c in cols] for i in range(xs.size))
-    return csvio.csv_text(header, rows)
+    return BasisFunction(basis.grid.points, basis.vectors)

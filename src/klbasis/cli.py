@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -49,7 +50,7 @@ DEFAULT_CONFIG = {
         "y_f": 1e-4,
         "epsilon": 1e-10,
     },
-    "output": {"directory": "out", "formats": ["csv", "json"], "export_points": 201},
+    "output": {"directory": "out", "export_points": 201},
     "seed": 20080556,
 }
 
@@ -106,68 +107,112 @@ def load_config(path: str | None, out_dir: str | None = None, seed: int | None =
         if not isinstance(user, dict):
             raise ConfigError("config document must be a JSON object")
         merged = _deep_merge(merged, user)
+    overrides = {}
     if out_dir is not None:
-        merged["output"]["directory"] = out_dir
+        overrides["output"] = {"directory": out_dir}
     if seed is not None:
-        merged["seed"] = seed
-    return validate_config(merged)
+        overrides["seed"] = seed
+    return validate_config(_deep_merge(merged, overrides))
+
+
+def _reject_unknown_keys(doc: dict, known: dict, where: str = "") -> None:
+    for key, value in doc.items():
+        name = f"{where}{key}"
+        if key not in known:
+            raise ConfigError(f"unknown config key {name!r}")
+        if isinstance(known[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{name} must be a JSON object")
+            _reject_unknown_keys(value, known[key], f"{name}.")
+
+
+def _number(value, name: str) -> float:
+    """A finite JSON number; booleans are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, name: str) -> int:
+    if not _number(value, name).is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def validate_config(cfg: dict) -> RunConfig:
-    fam = cfg["family"]
-    samp = cfg["sampling"]
-    trunc = cfg["truncation"]
-    prob = cfg["problem"]
-    out = cfg["output"]
     try:
-        n_max = int(fam["n_max"])
-        if n_max < 1:
-            raise ConfigError(f"family.n_max must be >= 1, got {n_max}")
-        if not float(fam["Z"]) > 0:
+        _reject_unknown_keys(cfg, DEFAULT_CONFIG)
+        fam = cfg["family"]
+        samp = cfg["sampling"]
+        trunc = cfg["truncation"]
+        prob = cfg["problem"]
+        out = cfg["output"]
+        n_max = _integer(fam["n_max"], "family.n_max")
+        if n_max < 2:
+            raise ConfigError(
+                f"family.n_max must be >= 2; a single orbital centers to zero, got {n_max}"
+            )
+        if not _number(fam["Z"], "family.Z") > 0:
             raise ConfigError(f"family.Z must be positive, got {fam['Z']}")
         if samp["kind"] not in ("uniform", "chebyshev-lobatto"):
             raise ConfigError(f"unknown sampling.kind {samp['kind']!r}")
-        if int(samp["N_s"]) < 2:
-            raise ConfigError(f"sampling.N_s must be >= 2, got {samp['N_s']}")
-        if not float(samp["a"]) < float(samp["b"]):
+        n_s = _integer(samp["N_s"], "sampling.N_s")
+        if n_s < 2:
+            raise ConfigError(f"sampling.N_s must be >= 2, got {n_s}")
+        samp_a = _number(samp["a"], "sampling.a")
+        samp_b = _number(samp["b"], "sampling.b")
+        if not samp_a < samp_b:
             raise ConfigError("sampling requires a < b")
         if samp["representation"] not in ("R", "rR"):
             raise ConfigError(f"unknown sampling.representation {samp['representation']!r}")
         if trunc["criterion"] not in ("fixed_m", "energy_fraction"):
             raise ConfigError(f"unknown truncation.criterion {trunc['criterion']!r}")
         if trunc["criterion"] == "fixed_m":
-            if not 1 <= int(trunc["value"]) <= int(samp["N_s"]):
+            if not 1 <= _integer(trunc["value"], "truncation.value") <= n_s:
                 raise ConfigError(f"truncation.value must be in [1, N_s], got {trunc['value']}")
         else:
-            if not 0.0 < float(trunc["value"]) <= 1.0:
+            if not 0.0 < _number(trunc["value"], "truncation.value") <= 1.0:
                 raise ConfigError(f"truncation.value must be in (0, 1], got {trunc['value']}")
-        n = int(prob.get("n", 1))
-        l = int(prob["l"])
+        n = _integer(prob["n"], "problem.n")
+        l = _integer(prob["l"], "problem.l")
         if n < 1 or l < 0 or l >= n:
             raise ConfigError(f"problem quantum numbers need 0 <= l < n, got l={l}, n={n}")
-        if not float(prob["a"]) < float(prob["b"]):
+        for key in ("E", "y_a", "y_f"):
+            _number(prob[key], f"problem.{key}")
+        prob_a = _number(prob["a"], "problem.a")
+        prob_b = _number(prob["b"], "problem.b")
+        if not prob_a < prob_b:
             raise ConfigError("problem requires a < b")
-        if not float(prob["epsilon"]) > 0:
+        if not _number(prob["epsilon"], "problem.epsilon") > 0:
             raise ConfigError("problem.epsilon must be positive")
-        if float(prob["a"]) < float(samp["a"]) or float(prob["b"]) > float(samp["b"]):
+        if prob_a < samp_a or prob_b > samp_b:
             raise ConfigError(
                 "problem domain must lie within the sampling domain; "
                 "the basis cannot be evaluated outside it"
             )
-        e_range = prob.get("E_range")
+        e_range = prob["E_range"]
         if e_range is not None:
-            if len(e_range) != 2 or not float(e_range[0]) < float(e_range[1]):
-                raise ConfigError(f"problem.E_range must be [lo, hi] with lo < hi, got {e_range}")
-            if int(prob.get("n_steps", 3)) < 3:
-                raise ConfigError("problem.n_steps must be >= 3")
-        if int(out.get("export_points", 201)) < 2:
+            if not isinstance(e_range, list) or len(e_range) != 2:
+                raise ConfigError(f"problem.E_range must be [lo, hi], got {e_range!r}")
+            if not _number(e_range[0], "problem.E_range[0]") < _number(
+                e_range[1], "problem.E_range[1]"
+            ):
+                raise ConfigError(f"problem.E_range must have lo < hi, got {e_range}")
+        if _integer(prob["n_steps"], "problem.n_steps") < 3:
+            raise ConfigError("problem.n_steps must be >= 3")
+        if not isinstance(out["directory"], str):
+            raise ConfigError(f"output.directory must be a string, got {out['directory']!r}")
+        if _integer(out["export_points"], "output.export_points") < 2:
             raise ConfigError("output.export_points must be >= 2")
-    except (KeyError, TypeError, ValueError) as err:
+        seed = _integer(cfg["seed"], "seed")
+        if seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {seed}")
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         if isinstance(err, ConfigError):
             raise
         raise ConfigError(f"malformed config: {err}") from err
     return RunConfig(
-        family=fam, sampling=samp, truncation=trunc, problem=prob, output=out, seed=int(cfg["seed"])
+        family=fam, sampling=samp, truncation=trunc, problem=prob, output=out, seed=seed
     )
 
 
@@ -181,7 +226,7 @@ class PipelineResult:
     cov: klcore.CovarianceMatrix
     basis: klcore.KLBasis
     truncated: klcore.TruncatedBasis
-    functions: tuple
+    interpolant: basisfn.BasisFunction
 
 
 def run_pipeline(config: RunConfig) -> PipelineResult:
@@ -205,10 +250,9 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     else:
         criterion = klcore.EnergyFraction(float(config.truncation["value"]))
     truncated = klcore.truncate_basis(basis, criterion)
-    functions = tuple(basisfn.interpolate(truncated))
     return PipelineResult(
         sample=sample, centered=centered, cov=cov, basis=basis,
-        truncated=truncated, functions=functions,
+        truncated=truncated, interpolant=basisfn.interpolate(truncated),
     )
 
 
@@ -265,13 +309,6 @@ def _rel_l2_scaled(y: np.ndarray, ref: np.ndarray) -> float | None:
     return float(np.linalg.norm(alpha * y - ref) / denom)
 
 
-def _write_json(path: Path, doc: dict) -> Path:
-    with open(path, "w", newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    return path
-
-
 def _emit(path: Path) -> None:
     print(f"wrote {path}")
 
@@ -284,7 +321,7 @@ def cmd_gen_basis(config: RunConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     pipe = run_pipeline(config)
 
-    path = sampling.write_sample_matrix_csv(pipe.sample, out_dir / "samples.csv")
+    path = csvio.write_text(out_dir / "samples.csv", sampling.sample_matrix_csv_text(pipe.sample))
     _emit(path)
 
     n = pipe.cov.n
@@ -292,14 +329,10 @@ def cmd_gen_basis(config: RunConfig) -> int:
     path = csvio.write_csv(out_dir / "covariance.csv", header, (row for row in pipe.cov.K))
     _emit(path)
 
-    path = out_dir / "eigenvalues.csv"
-    with open(path, "w", newline="\n") as fh:
-        fh.write(klcore.eigenvalues_csv_text(pipe.basis))
+    path = csvio.write_text(out_dir / "eigenvalues.csv", klcore.eigenvalues_csv_text(pipe.basis))
     _emit(path)
 
-    path = out_dir / "basis.csv"
-    with open(path, "w", newline="\n") as fh:
-        fh.write(klcore.vectors_csv_text(pipe.basis))
+    path = csvio.write_text(out_dir / "basis.csv", klcore.vectors_csv_text(pipe.basis))
     _emit(path)
 
     doc = klcore.basis_json_doc(pipe.basis)
@@ -309,7 +342,7 @@ def cmd_gen_basis(config: RunConfig) -> int:
         "M": pipe.truncated.M,
     }
     doc["config"] = config.to_dict()
-    path = _write_json(out_dir / "basis.json", doc)
+    path = csvio.write_json(out_dir / "basis.json", doc)
     _emit(path)
     return 0
 
@@ -319,10 +352,10 @@ def cmd_solve(config: RunConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     pipe = run_pipeline(config)
     bvp = problem_from_config(config)
-    problem = spectral.make_collocation_problem(bvp, pipe.functions)
+    problem = spectral.make_collocation_problem(bvp, pipe.interpolant)
     sol = spectral.solve(problem)
 
-    xs = np.linspace(bvp.a, bvp.b, int(config.output.get("export_points", 201)))
+    xs = np.linspace(bvp.a, bvp.b, int(config.output["export_points"]))
     y = np.atleast_1d(sol.eval(xs))
     res = spectral.residual(sol, xs)
     reference, ref_kind = _reference(config, bvp)
@@ -358,21 +391,21 @@ def cmd_solve(config: RunConfig) -> int:
         "mid_window": [lo, hi],
         "reference": ref_kind,
     }
-    path = _write_json(out_dir / "report.json", report)
+    path = csvio.write_json(out_dir / "report.json", report)
     _emit(path)
     return 0
 
 
 def cmd_scan_energy(config: RunConfig) -> int:
-    out_dir = Path(config.output["directory"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    e_range = config.problem.get("E_range")
+    e_range = config.problem["E_range"]
     if e_range is None:
         raise ConfigError("scan-energy requires problem.E_range")
+    out_dir = Path(config.output["directory"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     pipe = run_pipeline(config)
     bvp = problem_from_config(config)
     scan = spectral.energy_scan(
-        bvp, pipe.functions, float(e_range[0]), float(e_range[1]), int(config.problem["n_steps"])
+        bvp, pipe.interpolant, float(e_range[0]), float(e_range[1]), int(config.problem["n_steps"])
     )
     rows = (
         [scan.energies[i], scan.residual_norms[i], scan.statuses[i]]
@@ -386,7 +419,7 @@ def cmd_scan_energy(config: RunConfig) -> int:
         "argmin_status": scan.argmin_status,
         "n_failed": sum(1 for s in scan.statuses if s != "ok"),
     }
-    path = _write_json(out_dir / "report.json", report)
+    path = csvio.write_json(out_dir / "report.json", report)
     _emit(path)
     return 0
 
@@ -430,14 +463,9 @@ def cmd_compare_bases(config: RunConfig) -> int:
     rows = []
     for name, B in candidates:
         mse = klcore.projection_mse(pipe.centered, B)
-        weights = basisfn.barycentric_weights(grid.points)
-        D = basisfn.differentiation_matrix(grid.points, weights)
-        funcs = [
-            basisfn.basis_function(grid.points, B[:, j], mode_index=j, D=D, weights=weights)
-            for j in range(m)
-        ]
+        interpolant = basisfn.BasisFunction(grid.points, B)
         try:
-            sol = spectral.solve(spectral.make_collocation_problem(bvp, funcs))
+            sol = spectral.solve(spectral.make_collocation_problem(bvp, interpolant))
             ym = np.atleast_1d(sol.eval(xm))
             rel = _rel_l2_scaled(ym, refm)
             rel_s = csvio.fmt(rel) if rel is not None else "nan"

@@ -1,4 +1,4 @@
-"""CSV helpers shared by the serializers and the CLI.
+"""CSV helpers and the file writers shared by the serializers and the CLI.
 
 Numeric cells carry 17 significant digits so every double round-trips
 exactly; the delimiter is a comma, line endings are LF, and a header row
@@ -7,6 +7,7 @@ is always present.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -23,11 +24,21 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
+def write_text(path: str | Path, text: str) -> Path:
+    """Write text as is, with LF line endings on every platform."""
     path = Path(path)
     with open(path, "w", newline="\n") as fh:
-        fh.write(csv_text(header, rows))
+        fh.write(text)
     return path
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
+    return write_text(path, csv_text(header, rows))
+
+
+def write_json(path: str | Path, doc: dict) -> Path:
+    """JSON with sorted keys, two-space indent and a trailing newline."""
+    return write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def read_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:

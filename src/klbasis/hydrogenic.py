@@ -163,10 +163,14 @@ def radial_wavefunction(orb: OrbitalSpec, r):
         raise ValueError("r must be non-negative")
     n, l, Z = orb.n, orb.l, orb.Z
     rho = 2.0 * Z * ra / n
-    norm = math.sqrt(
-        (2.0 * Z / n) ** 3 * math.factorial(n - l - 1) / (2.0 * n * math.factorial(n + l))
+    # N * exp(-rho/2) * rho^l in log space: the factorials overflow a
+    # double from n = 171, and N underflows where rho^l overflows.
+    log_norm = 0.5 * (
+        3.0 * math.log(2.0 * Z / n) + math.lgamma(n - l) - math.log(2.0 * n) - math.lgamma(n + l + 1)
     )
-    vals = norm * np.exp(-rho / 2.0) * rho**l * laguerre(n - l - 1, 2 * l + 1, rho)
+    with np.errstate(divide="ignore"):
+        log_envelope = log_norm - rho / 2.0 + (l * np.log(rho) if l else 0.0)
+    vals = np.exp(log_envelope) * laguerre(n - l - 1, 2 * l + 1, rho)
     return vals if vals.ndim else float(vals)
 
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -23,7 +22,6 @@ __all__ = [
     "make_grid",
     "build_sample_matrix",
     "sample_matrix_csv_text",
-    "write_sample_matrix_csv",
 ]
 
 
@@ -130,10 +128,3 @@ def sample_matrix_csv_text(sample: SampleMatrix) -> str:
         for i in range(sample.grid.n_points)
     )
     return csvio.csv_text(header, rows)
-
-
-def write_sample_matrix_csv(sample: SampleMatrix, path) -> Path:
-    path = Path(path)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(sample_matrix_csv_text(sample))
-    return path

@@ -41,36 +41,34 @@ class CollocationProblem:
     points where the equation is imposed (the boundary rows are implied)."""
 
     bvp: BoundaryValueProblem
-    basis: tuple[BasisFunction, ...]
+    basis: BasisFunction
     interior_points: np.ndarray
 
     def __post_init__(self):
-        basis = tuple(self.basis)
-        object.__setattr__(self, "basis", basis)
         pts = np.asarray(self.interior_points, dtype=float)
         object.__setattr__(self, "interior_points", pts)
-        if not basis:
-            raise ValueError("need at least one basis function")
-        f0 = basis[0]
-        if f0.a > self.bvp.a or f0.b < self.bvp.b:
+        basis = self.basis
+        if basis.samples.ndim != 2 or basis.samples.shape[1] == 0:
+            raise ValueError("need an (N_s x M) basis with at least one mode")
+        if basis.a > self.bvp.a or basis.b < self.bvp.b:
             raise ValueError(
-                f"basis domain [{f0.a}, {f0.b}] does not cover problem domain "
+                f"basis domain [{basis.a}, {basis.b}] does not cover problem domain "
                 f"[{self.bvp.a}, {self.bvp.b}]"
             )
         if np.any(pts <= self.bvp.a) or np.any(pts >= self.bvp.b):
             raise ValueError("interior collocation points must lie strictly inside (a, b)")
-        if pts.size + 2 < len(basis):
+        if pts.size + 2 < self.n_modes:
             raise ValueError(
                 f"{pts.size} interior points + 2 boundary rows under-determine "
-                f"{len(basis)} coefficients"
+                f"{self.n_modes} coefficients"
             )
 
     @property
     def n_modes(self) -> int:
-        return len(self.basis)
+        return self.basis.samples.shape[1]
 
 
-def default_collocation_points(bvp: BoundaryValueProblem, basis) -> np.ndarray:
+def default_collocation_points(bvp: BoundaryValueProblem, basis: BasisFunction) -> np.ndarray:
     """Interior collocation points for a basis of M functions.
 
     Prefers the basis functions' own interpolation nodes that fall
@@ -79,9 +77,8 @@ def default_collocation_points(bvp: BoundaryValueProblem, basis) -> np.ndarray:
     domain than the problem), a fresh uniform grid of M - 2 interior
     points makes the system square.
     """
-    basis = tuple(basis)
-    m = len(basis)
-    nodes = basis[0].nodes
+    m = basis.samples.shape[1]
+    nodes = basis.nodes
     inside = nodes[(nodes > bvp.a) & (nodes < bvp.b)]
     if inside.size + 2 >= m:
         return inside
@@ -91,9 +88,8 @@ def default_collocation_points(bvp: BoundaryValueProblem, basis) -> np.ndarray:
 
 
 def make_collocation_problem(
-    bvp: BoundaryValueProblem, basis, interior_points=None
+    bvp: BoundaryValueProblem, basis: BasisFunction, interior_points=None
 ) -> CollocationProblem:
-    basis = tuple(basis)
     if interior_points is None:
         interior_points = default_collocation_points(bvp, basis)
     return CollocationProblem(bvp=bvp, basis=basis, interior_points=interior_points)
@@ -119,18 +115,15 @@ def assemble(problem: CollocationProblem) -> AssembledSystem:
     """
     bvp = problem.bvp
     pts = problem.interior_points
-    m = problem.n_modes
-    n_rows = pts.size + 2
-    if n_rows < m:
-        raise ValueError(f"under-determined system: {n_rows} rows for {m} coefficients")
-    A = np.empty((n_rows, m))
-    v = bvp.potential(pts) - bvp.E if pts.size else np.empty(0)
-    for i, phi in enumerate(problem.basis):
-        if pts.size:
-            A[:-2, i] = -0.5 * phi.deriv(pts, order=2) + v * phi.eval(pts)
-        A[-2, i] = phi.eval(bvp.a)
-        A[-1, i] = phi.eval(bvp.b)
-    rhs = np.zeros(n_rows)
+    basis = problem.basis
+    v = bvp.potential(pts) - bvp.E
+    A = np.vstack(
+        [
+            -0.5 * basis.deriv(pts, order=2) + v[:, None] * basis.eval(pts),
+            basis.eval([bvp.a, bvp.b]),
+        ]
+    )
+    rhs = np.zeros(pts.size + 2)
     rhs[-2] = bvp.y_a
     rhs[-1] = bvp.y_f
     return AssembledSystem(matrix=A, rhs=rhs, n_interior=pts.size)
@@ -146,14 +139,10 @@ class SpectralSolution:
     method: str
 
     def eval(self, x):
-        vals = sum(c * phi.eval(x) for c, phi in zip(self.coefficients, self.problem.basis))
-        return vals
+        return self.problem.basis.eval(x) @ self.coefficients
 
     def deriv(self, x, order: int = 1):
-        return sum(
-            c * phi.deriv(x, order=order)
-            for c, phi in zip(self.coefficients, self.problem.basis)
-        )
+        return self.problem.basis.deriv(x, order=order) @ self.coefficients
 
 
 def solve(problem: CollocationProblem) -> SpectralSolution:
@@ -191,8 +180,7 @@ def solve(problem: CollocationProblem) -> SpectralSolution:
         rw = rhs.copy()
         Aw[-2:] *= weight
         rw[-2:] *= weight
-        coeffs, *_ = np.linalg.lstsq(Aw, rw, rcond=_SINGULAR_GATE)
-        svw = np.linalg.svd(Aw, compute_uv=False)
+        coeffs, _, _, svw = np.linalg.lstsq(Aw, rw, rcond=_SINGULAR_GATE)
         kept = svw[svw >= _SINGULAR_GATE * svw[0]]
         cond = float(svw[0] / kept[-1])
         method = "least-squares"
@@ -256,7 +244,7 @@ def _scan_grid(bvp: BoundaryValueProblem, n: int = 201) -> np.ndarray:
 
 def energy_scan(
     bvp: BoundaryValueProblem,
-    basis,
+    basis: BasisFunction,
     e_lo: float,
     e_hi: float,
     n_steps: int,
@@ -273,7 +261,6 @@ def energy_scan(
         raise ValueError(f"need e_lo < e_hi, got {e_lo}, {e_hi}")
     if n_steps < 3:
         raise ValueError(f"need at least 3 scan steps, got {n_steps}")
-    basis = tuple(basis)
     energies = np.linspace(e_lo, e_hi, n_steps)
     dense = _scan_grid(bvp)
     norms = np.full(n_steps, np.nan)

@@ -38,7 +38,7 @@ def reproduction_bvp():
 @pytest.fixture(scope="session")
 def reproduction_funcs8(reproduction_pipeline):
     truncated = klcore.truncate_basis(reproduction_pipeline["basis"], klcore.FixedM(8))
-    return tuple(basisfn.interpolate(truncated))
+    return basisfn.interpolate(truncated)
 
 
 def scaled_rel_l2(y: np.ndarray, ref: np.ndarray) -> float:

@@ -3,11 +3,10 @@ import pytest
 
 from klbasis import klcore
 from klbasis.basisfn import (
+    BasisFunction,
     barycentric_weights,
-    basis_function,
     differentiation_matrix,
     interpolate,
-    tabulate_csv_text,
 )
 from klbasis.sampling import GridKind, make_grid
 
@@ -18,24 +17,24 @@ def cheb_nodes(n, a, b):
 
 class TestEval:
     def test_constant_reproduction(self):
-        f = basis_function(cheb_nodes(9, 0.0, 1.0), np.full(9, 3.25))
+        f = BasisFunction(cheb_nodes(9, 0.0, 1.0), np.full(9, 3.25))
         xs = np.linspace(0.0, 1.0, 40)
         assert np.max(np.abs(f.eval(xs) - 3.25)) <= 1e-12 * 3.25
 
     def test_quadratic_exactness(self):
         nodes = cheb_nodes(5, 0.0, 1.0)
-        f = basis_function(nodes, nodes**2)
+        f = BasisFunction(nodes, nodes**2)
         assert f.eval(1.5 / 2.0) == pytest.approx((1.5 / 2.0) ** 2, abs=1e-12)
 
     def test_node_values_exact(self):
         nodes = np.linspace(0.0, 2.0, 7)
         samples = np.sin(nodes)
-        f = basis_function(nodes, samples)
+        f = BasisFunction(nodes, samples)
         for x, s in zip(nodes, samples):
             assert f.eval(float(x)) == s
 
     def test_rejects_extrapolation(self):
-        f = basis_function(np.linspace(0.0, 1.0, 4), np.zeros(4))
+        f = BasisFunction(np.linspace(0.0, 1.0, 4), np.zeros(4))
         with pytest.raises(ValueError):
             f.eval(1.0001)
         with pytest.raises(ValueError):
@@ -43,33 +42,33 @@ class TestEval:
 
     def test_rejects_duplicate_nodes(self):
         with pytest.raises(ValueError):
-            basis_function(np.array([0.0, 0.5, 0.5, 1.0]), np.zeros(4))
+            BasisFunction(np.array([0.0, 0.5, 0.5, 1.0]), np.zeros(4))
 
 
 class TestDerivatives:
     def test_quadratic_first_derivative(self):
         nodes = cheb_nodes(5, 0.0, 1.0)
-        f = basis_function(nodes, nodes**2)
+        f = BasisFunction(nodes, nodes**2)
         assert f.deriv(0.25, order=1) == pytest.approx(0.5, abs=1e-10)
 
     def test_constant_derivatives_vanish(self):
-        f = basis_function(cheb_nodes(6, 0.0, 1.0), np.full(6, 2.0))
+        f = BasisFunction(cheb_nodes(6, 0.0, 1.0), np.full(6, 2.0))
         for order in (1, 2):
             assert abs(f.deriv(0.37, order=order)) <= 1e-10
 
     def test_cubic_second_derivative(self):
         nodes = np.linspace(0.0, 2.0, 6)
-        f = basis_function(nodes, nodes**3)
+        f = BasisFunction(nodes, nodes**3)
         assert f.deriv(1.0, order=2) == pytest.approx(6.0, abs=1e-9)
 
     def test_rejects_higher_order(self):
-        f = basis_function(np.linspace(0.0, 1.0, 4), np.zeros(4))
+        f = BasisFunction(np.linspace(0.0, 1.0, 4), np.zeros(4))
         with pytest.raises(ValueError):
             f.deriv(0.5, order=3)
 
     def test_matches_finite_differences(self):
         nodes = cheb_nodes(12, 0.0, 2.0)
-        f = basis_function(nodes, np.exp(nodes / 2.0))
+        f = BasisFunction(nodes, np.exp(nodes / 2.0))
         h = 1e-5 * 2.0
         for x in np.linspace(0.3, 1.7, 11):
             fd = (f.eval(x + h) - f.eval(x - h)) / (2 * h)
@@ -79,7 +78,7 @@ class TestDerivatives:
         nodes = np.linspace(0.0, 1.0, 8)
         samples = np.cos(nodes)
         D = differentiation_matrix(nodes)
-        f = basis_function(nodes, samples)
+        f = BasisFunction(nodes, samples)
         d1 = D @ samples
         d2 = D @ d1
         for i, x in enumerate(nodes):
@@ -97,7 +96,7 @@ class TestPolynomialExactness:
         n = nodes.size
         xs = np.linspace(nodes[0], nodes[-1], 37)
         for k in range(n):
-            f = basis_function(nodes, nodes**k)
+            f = BasisFunction(nodes, nodes**k)
             scale = max(np.max(np.abs(xs**k)), 1.0)
             assert np.max(np.abs(f.eval(xs) - xs**k)) <= 1e-9 * scale
             d1 = k * xs ** (k - 1) if k >= 1 else np.zeros_like(xs)
@@ -111,38 +110,57 @@ class TestLinearity:
         s1 = np.exp(-nodes)
         s2 = nodes**2
         alpha, beta = 1.7, -0.4
-        f1 = basis_function(nodes, s1)
-        f2 = basis_function(nodes, s2)
-        fc = basis_function(nodes, alpha * s1 + beta * s2)
+        f1 = BasisFunction(nodes, s1)
+        f2 = BasisFunction(nodes, s2)
+        fc = BasisFunction(nodes, alpha * s1 + beta * s2)
         xs = np.linspace(0.0, 3.0, 23)
         combo = alpha * f1.eval(xs) + beta * f2.eval(xs)
         scale = np.maximum(np.abs(combo), 1e-30)
         assert np.max(np.abs(fc.eval(xs) - combo) / scale) <= 1e-12
 
 
+class TestMatrixValued:
+    def test_columns_match_single_functions(self):
+        nodes = cheb_nodes(15, 0.0, 3.0)
+        S = np.column_stack([np.exp(-nodes), np.sin(nodes), nodes**3])
+        f = BasisFunction(nodes, S)
+        xs = np.concatenate([np.linspace(0.0, 3.0, 29), nodes[3:5]])
+        # matrix and vector products round differently; each derivative
+        # order amplifies that by about ||D|| ~ N^2 / (b - a)
+        cases = (("eval", (), 1e-13), ("deriv", (1,), 1e-11), ("deriv", (2,), 1e-10))
+        for method, args, rtol in cases:
+            mat = getattr(f, method)(xs, *args)
+            assert mat.shape == (xs.size, 3)
+            for j in range(3):
+                col = getattr(BasisFunction(nodes, S[:, j]), method)(xs, *args)
+                scale = max(np.max(np.abs(col)), 1.0)
+                assert np.max(np.abs(mat[:, j] - col)) <= rtol * scale
+
+    def test_scalar_point_gives_one_row(self):
+        nodes = np.linspace(0.0, 1.0, 6)
+        S = np.column_stack([nodes, nodes**2])
+        f = BasisFunction(nodes, S)
+        assert f.eval(0.5).shape == (2,)
+        assert f.eval(0.5) == pytest.approx([0.5, 0.25], abs=1e-12)
+        assert f.deriv(0.5, order=2) == pytest.approx([0.0, 2.0], abs=1e-9)
+
+    def test_rejects_row_count_mismatch(self):
+        with pytest.raises(ValueError):
+            BasisFunction(np.linspace(0.0, 1.0, 5), np.zeros((4, 2)))
+
+
 class TestInterpolateAndTabulate:
     def test_interpolate_reproduces_samples(self, reproduction_pipeline):
         tb = klcore.truncate_basis(reproduction_pipeline["basis"], klcore.FixedM(5))
-        funcs = interpolate(tb)
-        assert len(funcs) == 5
+        f = interpolate(tb)
+        assert f.samples.shape == (20, 5)
         nodes = reproduction_pipeline["grid"].points
-        for j, f in enumerate(funcs):
-            assert f.mode_index == j
-            vals = f.eval(nodes)
-            scale = np.maximum(np.abs(tb.vectors[:, j]), 1e-30)
-            assert np.max(np.abs(vals - tb.vectors[:, j]) / scale) <= 1e-10
+        vals = f.eval(nodes)
+        scale = np.maximum(np.abs(tb.vectors), 1e-30)
+        assert np.max(np.abs(vals - tb.vectors) / scale) <= 1e-10
 
     def test_weights_scale_invariance(self):
         nodes = np.linspace(0.0, 40.0, 20)
         w = barycentric_weights(nodes)
         assert np.all(np.isfinite(w))
         assert np.all(w != 0.0)
-
-    def test_tabulation_csv(self, reproduction_pipeline):
-        tb = klcore.truncate_basis(reproduction_pipeline["basis"], klcore.FixedM(3))
-        funcs = interpolate(tb)
-        xs = np.linspace(0.0, 40.0, 11)
-        text = tabulate_csv_text(funcs, xs)
-        lines = text.strip().split("\n")
-        assert lines[0] == "x,phi_0,phi_1,phi_2"
-        assert len(lines) == 12

@@ -43,6 +43,39 @@ class TestConfig:
         cfg = write_config(tmp_path, {"problem": {"b": 99.0}})
         assert run(["solve", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"problem": {"E": float("nan")}},
+            {"problem": {"y_f": float("inf")}},
+            {"problem": {"E_range": [-0.7, float("inf")]}},
+            {"family": {"n_max": 1.5}},
+            {"family": {"n_max": True}},
+            {"family": {"n_max": 1}},
+            {"sampling": {"N_S": 40}},
+            {"output": {"formats": ["csv", "json"]}},
+            {"problme": {"E": -0.5}},
+            {"seed": -1},
+        ],
+        ids=[
+            "E-nan",
+            "y_f-inf",
+            "E_range-inf",
+            "n_max-fraction",
+            "n_max-bool",
+            "n_max-one",
+            "unknown-key",
+            "dropped-formats",
+            "unknown-section",
+            "negative-seed",
+        ],
+    )
+    def test_rejected_before_any_output(self, tmp_path, overrides):
+        cfg = write_config(tmp_path, overrides)
+        out = tmp_path / "out"
+        assert run(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert not out.exists()
+
     def test_numerical_failure_exit_code(self, tmp_path):
         # reduced-representation basis cannot meet a nonzero left boundary
         cfg = write_config(tmp_path, {"problem": {"y_a": 1.0, "y_f": 1.0}})

@@ -125,6 +125,18 @@ class TestRadialWavefunction:
             )
             assert abs(val - 1.0) < 1e-8
 
+    @pytest.mark.parametrize("n, l", [(171, 0), (171, 170), (200, 0), (200, 199)])
+    def test_large_n_finite_and_normalized(self, n, l):
+        # (n + l)! overflows a double from n = 171; the orbital reaches
+        # out to about 2 n^2, past radial_norm's 40 n range
+        orb = OrbitalSpec(n, l)
+        r = np.linspace(0.0, 4.0 * n * n, 200_001)
+        vals = radial_wavefunction(orb, r)
+        assert np.all(np.isfinite(vals))
+        assert abs(np.trapezoid(vals * vals * r * r, r) - 1.0) <= 1e-8
+        if l == 0:
+            assert vals[0] == pytest.approx(2.0 / n**1.5, rel=1e-12)
+
     def test_node_counts(self, family28):
         for orb in family28.orbitals:
             r = np.linspace(1e-6, 40.0 * orb.n, 60_000)

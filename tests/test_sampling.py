@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from klbasis.csvio import read_csv
+from klbasis.csvio import read_csv, write_text
 from klbasis.hydrogenic import OrbitalSpec, RadialFamily, make_family
 from klbasis.sampling import (
     Grid,
@@ -12,7 +12,6 @@ from klbasis.sampling import (
     build_sample_matrix,
     make_grid,
     sample_matrix_csv_text,
-    write_sample_matrix_csv,
 )
 
 
@@ -97,7 +96,7 @@ class TestSampleMatrix:
         assert header[:4] == ["x", "orb_1s", "orb_2s", "orb_2p"]
         assert len(header) == 29
         assert len(lines) == 21
-        path = write_sample_matrix_csv(sample, tmp_path / "samples.csv")
+        path = write_text(tmp_path / "samples.csv", text)
         hdr, rows = read_csv(path)
         assert hdr == header
         # 17 significant digits round-trip exactly

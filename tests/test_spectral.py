@@ -24,10 +24,8 @@ def eigenmode_basis(extra=()):
     """Exact reduced ground state interpolated on a fine grid, plus any
     extra sample vectors on the same nodes."""
     nodes = make_grid(GridKind.CHEBYSHEV_LOBATTO, 30, 0.0, 7.0).points
-    funcs = [basisfn.basis_function(nodes, nodes * np.exp(-nodes), mode_index=0)]
-    for j, samples in enumerate(extra, start=1):
-        funcs.append(basisfn.basis_function(nodes, samples(nodes), mode_index=j))
-    return nodes, funcs
+    columns = [nodes * np.exp(-nodes)] + [samples(nodes) for samples in extra]
+    return nodes, basisfn.BasisFunction(nodes, np.column_stack(columns))
 
 
 GROUND_BVP = BoundaryValueProblem(
@@ -62,7 +60,7 @@ class TestAssemble:
         )
         A1 = assemble(make_collocation_problem(GROUND_BVP, funcs, interior_points=pts)).matrix
         A2 = assemble(make_collocation_problem(shifted, funcs, interior_points=pts)).matrix
-        expected = -delta * np.column_stack([f.eval(pts) for f in funcs])
+        expected = -delta * funcs.eval(pts)
         assert np.allclose(A2[:-2] - A1[:-2], expected, rtol=0, atol=1e-14)
 
     def test_under_determined_rejected(self):
@@ -74,7 +72,7 @@ class TestAssemble:
 
     def test_domain_not_covered_rejected(self):
         nodes = make_grid(GridKind.CHEBYSHEV_LOBATTO, 10, 0.0, 5.0).points
-        funcs = [basisfn.basis_function(nodes, np.sin(nodes))]
+        funcs = basisfn.BasisFunction(nodes, np.sin(nodes)[:, None])
         with pytest.raises(ValueError):
             make_collocation_problem(GROUND_BVP, funcs)
 
@@ -130,10 +128,9 @@ class TestSolve:
     def test_degenerate_basis_that_cannot_meet_boundary(self):
         # every mode vanishes at both endpoints: y(b) = 1e-4 is unreachable
         nodes = make_grid(GridKind.CHEBYSHEV_LOBATTO, 12, 0.0, 7.0).points
-        funcs = [
-            basisfn.basis_function(nodes, np.sin(k * np.pi * nodes / 7.0), mode_index=k - 1)
-            for k in (1, 2, 3)
-        ]
+        funcs = basisfn.BasisFunction(
+            nodes, np.column_stack([np.sin(k * np.pi * nodes / 7.0) for k in (1, 2, 3)])
+        )
         with pytest.raises(NumericalError):
             solve(make_collocation_problem(GROUND_BVP, funcs))
 
