@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import NumericalError
 from .klcore import TruncatedBasis
 
 __all__ = [
@@ -96,19 +97,27 @@ class BasisFunction:
     def _interpolate(self, values: np.ndarray, x):
         """Barycentric interpolant of `values` (one row per node) at x:
         (len(x) x M) for array x, (M,) for scalar x. A point on a node
-        returns that node's row exactly."""
+        returns that node's row exactly. Raises NumericalError when the
+        result is not finite: on many equispaced nodes the weights span so
+        many orders of magnitude that the kernel's denominator cancels."""
         xa = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.any(xa < self.nodes[0]) or np.any(xa > self.nodes[-1]):
+        if (xa < self.nodes[0]).any() or (xa > self.nodes[-1]).any():
             raise ValueError(
                 f"evaluation point outside [{self.a}, {self.b}]; no extrapolation"
             )
         diff = xa[:, None] - self.nodes[None, :]
         hit = diff == 0.0
         on_node = hit.any(axis=1)
-        diff[hit] = 1.0
-        L = self.weights / diff
-        L[on_node] = hit[on_node]
-        out = (L / L.sum(axis=1, keepdims=True)) @ values
+        with np.errstate(all="ignore"):
+            # rows with a node hit divide by zero here and are replaced
+            L = self.weights / diff
+            L[on_node] = hit[on_node]
+            out = (L / L.sum(axis=1, keepdims=True)) @ values
+        if not np.isfinite(out).all():
+            raise NumericalError(
+                f"barycentric interpolation on {self.nodes.size} nodes is not finite; "
+                "use fewer nodes or Chebyshev-Lobatto sampling"
+            )
         return out if np.ndim(x) else out[0]
 
     def eval(self, x):

@@ -106,6 +106,8 @@ def load_config(path: str | None, out_dir: str | None = None, seed: int | None =
             raise ConfigError(f"config file is not valid JSON: {err}") from err
         if not isinstance(user, dict):
             raise ConfigError("config document must be a JSON object")
+        # before the overrides below can merge over a non-object section
+        _reject_unknown_keys(user, DEFAULT_CONFIG)
         merged = _deep_merge(merged, user)
     overrides = {}
     if out_dir is not None:

@@ -175,16 +175,20 @@ def radial_wavefunction(orb: OrbitalSpec, r):
 
 
 def radial_norm(orb: OrbitalSpec, n_gauss: int = 16) -> float:
-    """Quadrature of R^2 r^2 over [0, 40n/Z] by composite Gauss-Legendre
-    panels of width n/(4Z); the integrand is below 1e-30 beyond that range.
+    """Quadrature of R^2 r^2 over [0, max(40n, 4n^2)/Z] by composite
+    Gauss-Legendre panels of width n/(4Z). The outer classical turning
+    point lies at most at 2n^2/Z, and the tail past twice that is
+    negligible; up to n = 10 the range is 40n/Z, where the integrand is
+    below 1e-30 at the end.
     """
     nodes, weights = np.polynomial.legendre.leggauss(n_gauss)
     width = orb.n / (4.0 * orb.Z)
-    edges = np.arange(161) * width
+    panels = max(160, 16 * orb.n)
+    edges = np.arange(panels + 1) * width
     mids = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * width
     pts = (mids[:, None] + half * nodes[None, :]).ravel()
-    wts = np.broadcast_to(half * weights, (160, n_gauss)).ravel()
+    wts = np.broadcast_to(half * weights, (panels, n_gauss)).ravel()
     rr = radial_wavefunction(orb, pts)
     return float(np.sum(wts * rr * rr * pts * pts))
 
@@ -220,8 +224,14 @@ class NumerovSolution:
 
 _OVERFLOW_LIMIT = 1e250
 
+# Steps per block of the Numerov sweep. The K = steps/_BLOCK blocks are
+# marched in lockstep, so one sweep costs _BLOCK vector steps on (2, K)
+# arrays plus K scalar 2x2 steps; about 128 balances the two at the
+# oracle's 1e5 grid points.
+_BLOCK = 128
 
-def _numerov_sweep(start: list, coef: list, incr: list) -> list:
+
+def _numerov_sweep(start: list, coef: np.ndarray, incr: np.ndarray) -> np.ndarray:
     """March y'' = g(x) y across the grid from the given leading samples.
 
     Works on the transformed variable w_n = coef[n] * y_n with
@@ -230,34 +240,77 @@ def _numerov_sweep(start: list, coef: list, incr: list) -> list:
         w_{n+1} = 2 w_n - w_{n-1} + incr[n] * y_n.
 
     The update is kept in summed form (accumulating the first difference
-    of w) with compensated additions: the textbook three-term form loses
+    d of w) with compensated additions: the textbook three-term form loses
     accuracy like 1/h^2 in rounding, which dominates exactly the fine
-    grids this oracle exists for. Raises on overflow, which signals a
-    step instability.
+    grids this oracle exists for.
+
+    The step is linear in the state (w, d), so it is run as a blocked
+    scan: the steps are cut into blocks of _BLOCK, and all blocks march in
+    lockstep from the two unit states (1, 0) and (0, 1), giving w-values
+    W1, W2 and a 2x2 transfer matrix per block. Chaining those matrices
+    from the true start state gives each block's entry state (alpha, beta),
+    and y = (alpha W1 + beta W2) / coef on the block. Raises on overflow
+    past 1e250, which signals a step instability, naming the first grid
+    index past it.
     """
-    n = len(coef)
-    y = [0.0] * n
-    y[: len(start)] = start
+    n = coef.size
     i0 = len(start)
-    w_prev = coef[i0 - 2] * y[i0 - 2]
-    w = coef[i0 - 1] * y[i0 - 1]
-    y_cur = y[i0 - 1]
-    d = w - w_prev
-    comp_d = 0.0
-    comp_w = 0.0
-    for i in range(i0, n):
-        t = incr[i - 1] * y_cur - comp_d
-        d_new = d + t
-        comp_d = (d_new - d) - t
-        d = d_new
-        t = d - comp_w
-        w_new = w + t
-        comp_w = (w_new - w) - t
-        w = w_new
-        y_cur = w / coef[i]
-        if y_cur > _OVERFLOW_LIMIT or y_cur < -_OVERFLOW_LIMIT:
-            raise NumericalError(f"Numerov step instability at grid index {i}")
-        y[i] = y_cur
+    steps = n - i0
+    blocks = -(-steps // _BLOCK)
+    # step i reads coef/incr at i - 1 and writes y at i; padded steps
+    # (incr 0, coef 1) only fill the last block and are dropped
+    pad = blocks * _BLOCK - steps
+    c_prev = np.concatenate([coef[i0 - 1 : n - 1], np.ones(pad)]).reshape(blocks, _BLOCK).T
+    g_prev = np.concatenate([incr[i0 - 1 : n - 1], np.zeros(pad)]).reshape(blocks, _BLOCK).T
+    # row 0 starts every block from (w, d) = (1, 0), row 1 from (0, 1)
+    w = np.zeros((2, blocks))
+    d = np.zeros((2, blocks))
+    w[0] = d[1] = 1.0
+    comp_w = np.zeros_like(w)
+    comp_d = np.zeros_like(d)
+    W = np.empty((2, _BLOCK, blocks))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for j in range(_BLOCK):
+            t = g_prev[j] * (w / c_prev[j]) - comp_d
+            d_new = d + t
+            comp_d = (d_new - d) - t
+            d = d_new
+            t = d - comp_w
+            w_new = w + t
+            comp_w = (w_new - w) - t
+            w = w_new
+            W[:, j] = w
+        # block k maps its entry state (a, b) to (a, b) + (T - I)(a, b), with
+        # T = [[w1, w2], [d1, d2]] read off the unit sweeps net of their
+        # compensation terms; on fine grids the increment is small next to
+        # (a, b), so adding it with compensation, as the sweep does, rounds
+        # the chained state no worse than the per-point sweep would
+        ew1 = ((w[0] - 1.0) - comp_w[0]).tolist()
+        w2 = (w[1] - comp_w[1]).tolist()
+        d1 = (d[0] - comp_d[0]).tolist()
+        ed2 = ((d[1] - 1.0) - comp_d[1]).tolist()
+        alpha = np.empty(blocks)
+        beta = np.empty(blocks)
+        a = float(coef[i0 - 1] * start[-1])
+        b = a - float(coef[i0 - 2] * start[-2])
+        ca = cb = 0.0
+        for k in range(blocks):
+            alpha[k] = a
+            beta[k] = b
+            ta = (ew1[k] * a + w2[k] * b) - ca
+            tb = (d1[k] * a + ed2[k] * b) - cb
+            a_new = a + ta
+            ca = (a_new - a) - ta
+            b_new = b + tb
+            cb = (b_new - b) - tb
+            a, b = a_new, b_new
+        y = np.empty(n)
+        y[:i0] = start
+        y[i0:] = (alpha * W[0] + beta * W[1]).T.ravel()[:steps] / coef[i0:]
+    # NaN, from inf - inf once the growing solution overflowed, is past too
+    past = np.flatnonzero(~(np.abs(y) <= _OVERFLOW_LIMIT))
+    if past.size:
+        raise NumericalError(f"Numerov step instability at grid index {past[0]}")
     return y
 
 
@@ -278,7 +331,7 @@ def _regular_series(bvp: BoundaryValueProblem, x):
 
 
 def _oracle_potential(bvp: BoundaryValueProblem, x: np.ndarray) -> np.ndarray:
-    """Potential used by the integration oracle.
+    """Potential used by the integration oracle on the ascending grid x.
 
     Away from the origin this is the exact -Z/x + l(l+1)/(2x^2); the
     epsilon term exists to avoid the singularity at x = 0, so it enters
@@ -287,11 +340,12 @@ def _oracle_potential(bvp: BoundaryValueProblem, x: np.ndarray) -> np.ndarray:
     a first-order-in-epsilon admixture of the growing solution, visibly
     above the oracle's own accuracy.
     """
+    k = int(np.searchsorted(x, 0.0, side="right"))
+    xp = x[k:]
     v = np.empty_like(x)
-    pos = x > 0
-    xp = x[pos]
-    v[pos] = -bvp.Z / xp + bvp.l * (bvp.l + 1) / (2.0 * xp * xp)
-    v[~pos] = bvp.potential(x[~pos])
+    v[:k] = bvp.potential(x[:k])
+    np.divide(-bvp.Z, xp, out=v[k:])
+    v[k:] += bvp.l * (bvp.l + 1) / (2.0 * xp * xp)
     return v
 
 
@@ -304,8 +358,9 @@ def numerov_oracle(bvp: BoundaryValueProblem, n_points: int) -> NumerovSolution:
     y(a) = 0 with unit slope; y(b) = y_f then gives s = (y_f - u(b)) / v(b)
     directly. When the left endpoint is the origin with y(0) = 0, u vanishes
     and v starts from the regular series (for l = 0, s is the literal slope),
-    so one sweep suffices; otherwise two are run. The result must meet y(b)
-    to 1e-12 |y_f|; if rounding in u + s v misses that, the residual is
+    so one sweep suffices; otherwise two are run. Each sweep is one blocked
+    numpy scan (see _numerov_sweep). The result must meet y(b) to
+    1e-12 |y_f|; if rounding in u + s v misses that, the residual is
     removed along v once more and 1e-8 |y_f| is accepted.
     """
     if n_points < 1000:
@@ -313,8 +368,8 @@ def numerov_oracle(bvp: BoundaryValueProblem, n_points: int) -> NumerovSolution:
     x = np.linspace(bvp.a, bvp.b, n_points)
     h = (bvp.b - bvp.a) / (n_points - 1)
     g = 2.0 * (_oracle_potential(bvp, x) - bvp.E)
-    incr = ((h * h) * g).tolist()
-    coef = (1.0 - (h * h / 12.0) * g).tolist()
+    incr = (h * h) * g
+    coef = 1.0 - (h * h / 12.0) * g
 
     if bvp.y_f == 0.0:
         if bvp.y_a == 0.0:
@@ -325,11 +380,11 @@ def numerov_oracle(bvp: BoundaryValueProblem, n_points: int) -> NumerovSolution:
         seed1 = float(_regular_series(bvp, x[1]))
         seed2 = float(_regular_series(bvp, x[2]))
         u = np.zeros(n_points)
-        v = np.asarray(_numerov_sweep([0.0, seed1, seed2], coef, incr))
+        v = _numerov_sweep([0.0, seed1, seed2], coef, incr)
         sweeps = 1
     else:
-        u = np.asarray(_numerov_sweep([bvp.y_a, bvp.y_a], coef, incr))
-        v = np.asarray(_numerov_sweep([0.0, h], coef, incr))
+        u = _numerov_sweep([bvp.y_a, bvp.y_a], coef, incr)
+        v = _numerov_sweep([0.0, h], coef, incr)
         sweeps = 2
 
     v_b = float(v[-1])

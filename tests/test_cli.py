@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,15 @@ class TestConfig:
         cfg = write_config(tmp_path, overrides)
         out = tmp_path / "out"
         assert run(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert not out.exists()
+
+    def test_non_object_section_named_before_overrides(self, tmp_path, capsys):
+        # --out-dir merges an "output" object; the file's non-object must be
+        # reported as such, not as a key missing from the merged object
+        cfg = write_config(tmp_path, {"output": 3})
+        out = tmp_path / "out"
+        assert run(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert "config error: output must be a JSON object" in capsys.readouterr().err
         assert not out.exists()
 
     def test_numerical_failure_exit_code(self, tmp_path):
@@ -181,6 +191,19 @@ class TestSolve:
         assert report["reference"] == "numerov"
         assert report["rel_l2_error_mid"] <= 0.03
         assert len(calls) == 1
+
+    def test_unstable_interpolant_fails_without_warnings(self, tmp_path, capsys):
+        # on 120 equispaced nodes the barycentric weights span about 35
+        # orders of magnitude and the kernel's denominator cancels to zero
+        cfg = write_config(tmp_path, {"sampling": {"N_s": 120}, "truncation": {"value": 30}})
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: barycentric interpolation")
+        assert "Warning" not in err
+        assert not (out / "report.json").exists()
 
 
 class TestScanEnergy:

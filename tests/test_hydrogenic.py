@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad, solve_bvp
 from scipy.special import eval_genlaguerre
 
+from klbasis import hydrogenic
 from klbasis.errors import NumericalError
 from klbasis.hydrogenic import (
     BoundaryValueProblem,
@@ -128,7 +130,7 @@ class TestRadialWavefunction:
     @pytest.mark.parametrize("n, l", [(171, 0), (171, 170), (200, 0), (200, 199)])
     def test_large_n_finite_and_normalized(self, n, l):
         # (n + l)! overflows a double from n = 171; the orbital reaches
-        # out to about 2 n^2, past radial_norm's 40 n range
+        # out to about 2 n^2
         orb = OrbitalSpec(n, l)
         r = np.linspace(0.0, 4.0 * n * n, 200_001)
         vals = radial_wavefunction(orb, r)
@@ -136,6 +138,11 @@ class TestRadialWavefunction:
         assert abs(np.trapezoid(vals * vals * r * r, r) - 1.0) <= 1e-8
         if l == 0:
             assert vals[0] == pytest.approx(2.0 / n**1.5, rel=1e-12)
+
+    @pytest.mark.parametrize("n, l", [(11, 0), (171, 0), (200, 199)])
+    def test_radial_norm_covers_large_n(self, n, l):
+        # these orbitals reach past 40 n, where the quadrature used to stop
+        assert abs(radial_norm(OrbitalSpec(n, l)) - 1.0) <= 1e-8
 
     def test_node_counts(self, family28):
         for orb in family28.orbitals:
@@ -267,3 +274,111 @@ class TestFamily:
             BoundaryValueProblem(l=0, Z=1.0, E=-0.5, a=1.0, b=1.0, y_a=0.0, y_f=0.0)
         with pytest.raises(ValueError):
             BoundaryValueProblem(l=0, Z=1.0, E=-0.5, a=0.0, b=7.0, y_a=0.0, y_f=0.0, epsilon=0.0)
+
+
+def _reference_sweep(start: list, coef: list, incr: list) -> list:
+    """The per-point Numerov sweep the blocked scan replaced, kept as it
+    was (overflow limit inlined) as the reference it must reproduce."""
+    n = len(coef)
+    y = [0.0] * n
+    y[: len(start)] = start
+    i0 = len(start)
+    w_prev = coef[i0 - 2] * y[i0 - 2]
+    w = coef[i0 - 1] * y[i0 - 1]
+    y_cur = y[i0 - 1]
+    d = w - w_prev
+    comp_d = 0.0
+    comp_w = 0.0
+    for i in range(i0, n):
+        t = incr[i - 1] * y_cur - comp_d
+        d_new = d + t
+        comp_d = (d_new - d) - t
+        d = d_new
+        t = d - comp_w
+        w_new = w + t
+        comp_w = (w_new - w) - t
+        w = w_new
+        y_cur = w / coef[i]
+        if y_cur > 1e250 or y_cur < -1e250:
+            raise NumericalError(f"Numerov step instability at grid index {i}")
+        y[i] = y_cur
+    return y
+
+
+_ORACLE_CASES = {
+    "1s": BoundaryValueProblem(l=0, Z=1.0, E=-0.5, a=0.0, b=7.0, y_a=0.0, y_f=1e-4),
+    "2p": BoundaryValueProblem(
+        l=1, Z=1.0, E=-0.125, a=0.0, b=20.0, y_a=0.0, y_f=400.0 * math.exp(-10.0)
+    ),
+    "general-l0": BoundaryValueProblem(l=0, Z=1.0, E=-0.5, a=1.0, b=7.0, y_a=0.5, y_f=0.5),
+    "general-l2": BoundaryValueProblem(l=2, Z=1.0, E=-0.3, a=0.5, b=15.0, y_a=0.1, y_f=1e-6),
+}
+
+
+def _record_sweeps(monkeypatch) -> list:
+    """Make the oracle's sweeps record their inputs (start, coef, incr)."""
+    calls = []
+    blocked = hydrogenic._numerov_sweep
+
+    def recorded(start, coef, incr):
+        calls.append((start, coef, incr))
+        return blocked(start, coef, incr)
+
+    monkeypatch.setattr(hydrogenic, "_numerov_sweep", recorded)
+    return calls
+
+
+def _blocked_and_reference(start, coef, incr):
+    y = hydrogenic._numerov_sweep(start, coef, incr)
+    ref = np.asarray(_reference_sweep(start, coef.tolist(), incr.tolist()))
+    assert y.shape == ref.shape
+    return y, ref
+
+
+class TestBlockedSweep:
+    """The blocked numpy sweep against the per-point reference. Agreement is
+    measured against the largest |y| of the sweep: in a decaying tail both
+    sweeps carry rounding that the growing solution amplifies, and on
+    coarse grids the blocks' transfer products round that mode more.
+    At the oracle's working size of 1e5 points it also holds pointwise."""
+
+    @pytest.mark.parametrize("n_points", [1000, 1001, 100_000])
+    @pytest.mark.parametrize("case", list(_ORACLE_CASES))
+    def test_oracle_sweeps_match_reference(self, monkeypatch, case, n_points):
+        calls = _record_sweeps(monkeypatch)
+        sol = numerov_oracle(_ORACLE_CASES[case], n_points)
+        monkeypatch.undo()
+        assert len(calls) == sol.iterations == (1 if case in ("1s", "2p") else 2)
+        for start, coef, incr in calls:
+            y, ref = _blocked_and_reference(start, coef, incr)
+            gap = np.abs(y - ref)
+            assert np.max(gap) <= 1e-12 * np.max(np.abs(ref))
+            if n_points == 100_000:
+                assert np.all(gap <= 1e-12 * np.abs(ref))
+
+    @pytest.mark.parametrize(
+        "n_points",
+        [50, hydrogenic._BLOCK + 2, 2 * hydrogenic._BLOCK + 2, 3 * hydrogenic._BLOCK + 7],
+        ids=["shorter-than-block", "one-block", "two-blocks", "ragged-last-block"],
+    )
+    @pytest.mark.parametrize("g", [0.8, -0.8], ids=["growing", "oscillating"])
+    def test_sweep_lengths(self, n_points, g):
+        # a two-point start leaves n_points - 2 steps
+        h = 4.0 / (n_points - 1)
+        gx = g + np.linspace(0.0, 0.3, n_points)
+        start = [0.2, 0.2 + 0.7 * h]
+        y, ref = _blocked_and_reference(start, 1.0 - (h * h / 12.0) * gx, (h * h) * gx)
+        assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_overflow_raises_at_reference_index_without_warnings(self, monkeypatch):
+        bvp = BoundaryValueProblem(l=0, Z=1.0, E=-0.5, a=0.0, b=800.0, y_a=0.0, y_f=1e-4)
+        calls = _record_sweeps(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError) as raised:
+                numerov_oracle(bvp, 5000)
+        start, coef, incr = calls[0]
+        with pytest.raises(NumericalError) as expected:
+            _reference_sweep(start, coef.tolist(), incr.tolist())
+        assert "grid index" in str(expected.value)
+        assert str(raised.value) == str(expected.value)
