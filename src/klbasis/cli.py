@@ -316,12 +316,14 @@ def _emit(path: Path) -> None:
 
 
 # -- subcommands --------------------------------------------------------------
+# Each subcommand computes every number before it creates the output
+# directory, so a run that fails writes nothing.
 
 
 def cmd_gen_basis(config: RunConfig) -> int:
+    pipe = run_pipeline(config)
     out_dir = Path(config.output["directory"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    pipe = run_pipeline(config)
 
     path = csvio.write_text(out_dir / "samples.csv", sampling.sample_matrix_csv_text(pipe.sample))
     _emit(path)
@@ -350,8 +352,6 @@ def cmd_gen_basis(config: RunConfig) -> int:
 
 
 def cmd_solve(config: RunConfig) -> int:
-    out_dir = Path(config.output["directory"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     pipe = run_pipeline(config)
     bvp = problem_from_config(config)
     problem = spectral.make_collocation_problem(bvp, pipe.interpolant)
@@ -362,18 +362,6 @@ def cmd_solve(config: RunConfig) -> int:
     res = spectral.residual(sol, xs)
     reference, ref_kind = _reference(config, bvp)
     ref = reference(xs)
-    path = csvio.write_csv(
-        out_dir / "solution.csv",
-        ["x", "y_numeric", "y_reference", "residual"],
-        ([xs[i], y[i], ref[i], res[i]] for i in range(xs.size)),
-    )
-    _emit(path)
-    path = csvio.write_csv(
-        out_dir / "residual.csv",
-        ["x", "residual"],
-        ([xs[i], res[i]] for i in range(xs.size)),
-    )
-    _emit(path)
 
     span = bvp.b - bvp.a
     lo, hi = bvp.a + _MID_LO * span, bvp.a + _MID_HI * span
@@ -393,6 +381,21 @@ def cmd_solve(config: RunConfig) -> int:
         "mid_window": [lo, hi],
         "reference": ref_kind,
     }
+
+    out_dir = Path(config.output["directory"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = csvio.write_csv(
+        out_dir / "solution.csv",
+        ["x", "y_numeric", "y_reference", "residual"],
+        ([xs[i], y[i], ref[i], res[i]] for i in range(xs.size)),
+    )
+    _emit(path)
+    path = csvio.write_csv(
+        out_dir / "residual.csv",
+        ["x", "residual"],
+        ([xs[i], res[i]] for i in range(xs.size)),
+    )
+    _emit(path)
     path = csvio.write_json(out_dir / "report.json", report)
     _emit(path)
     return 0
@@ -402,13 +405,13 @@ def cmd_scan_energy(config: RunConfig) -> int:
     e_range = config.problem["E_range"]
     if e_range is None:
         raise ConfigError("scan-energy requires problem.E_range")
-    out_dir = Path(config.output["directory"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     pipe = run_pipeline(config)
     bvp = problem_from_config(config)
     scan = spectral.energy_scan(
         bvp, pipe.interpolant, float(e_range[0]), float(e_range[1]), int(config.problem["n_steps"])
     )
+    out_dir = Path(config.output["directory"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     rows = (
         [scan.energies[i], scan.residual_norms[i], scan.statuses[i]]
         for i in range(scan.energies.size)
@@ -443,8 +446,6 @@ def _monomial_basis(grid_points: np.ndarray, m: int) -> np.ndarray:
 
 
 def cmd_compare_bases(config: RunConfig) -> int:
-    out_dir = Path(config.output["directory"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     pipe = run_pipeline(config)
     m = pipe.truncated.M
     grid = pipe.sample.grid
@@ -474,6 +475,8 @@ def cmd_compare_bases(config: RunConfig) -> int:
         except NumericalError:
             rel_s = "nan"
         rows.append([name, m, mse, rel_s])
+    out_dir = Path(config.output["directory"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     path = csvio.write_csv(
         out_dir / "comparison.csv",
         ["basis_name", "M", "reconstruction_mse", "solve_rel_error"],

@@ -8,7 +8,8 @@ values close the system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import copy
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,13 +37,50 @@ _BOUNDARY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
+class _Tabulation:
+    """The basis values phi(x), second derivatives phi''(x) and the
+    potential V(x) at fixed points: everything in -y''/2 + (V - E) y that
+    does not depend on the energy."""
+
+    values: np.ndarray
+    second: np.ndarray
+    potential: np.ndarray
+
+    @classmethod
+    def at(cls, bvp: BoundaryValueProblem, basis: BasisFunction, x) -> _Tabulation:
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        return cls(basis.eval(x), basis.deriv(x, order=2), bvp.potential(x))
+
+    def operator(self, energy: float) -> np.ndarray:
+        """Rows -phi''/2 + (V - E) phi, one per point."""
+        return -0.5 * self.second + (self.potential - energy)[:, None] * self.values
+
+    def defect(self, coefficients: np.ndarray, energy: float) -> tuple[np.ndarray, np.ndarray]:
+        """The defect -y''/2 + (V - E) y of y = phi c at the points, and y."""
+        y = self.values @ coefficients
+        return -0.5 * (self.second @ coefficients) + (self.potential - energy) * y, y
+
+    def relative_norm(self, coefficients: np.ndarray, energy: float) -> float:
+        """RMS of the defect over the RMS of y; the plain RMS defect when
+        y is zero."""
+        res, y = self.defect(coefficients, energy)
+        res_rms = float(np.sqrt(np.mean(res * res)))
+        y_rms = float(np.sqrt(np.mean(y * y)))
+        return res_rms / y_rms if y_rms > 0.0 else res_rms
+
+
+@dataclass(frozen=True)
 class CollocationProblem:
     """A boundary-value problem, the basis to expand in, and the interior
-    points where the equation is imposed (the boundary rows are implied)."""
+    points where the equation is imposed (the boundary rows are implied).
+    Construction tabulates the basis at the interior points and at a and
+    b; none of it depends on E, which `at_energy` changes."""
 
     bvp: BoundaryValueProblem
     basis: BasisFunction
     interior_points: np.ndarray
+    _interior: _Tabulation = field(init=False, repr=False, compare=False)
+    _boundary: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.asarray(self.interior_points, dtype=float)
@@ -62,10 +100,18 @@ class CollocationProblem:
                 f"{pts.size} interior points + 2 boundary rows under-determine "
                 f"{self.n_modes} coefficients"
             )
+        object.__setattr__(self, "_interior", _Tabulation.at(self.bvp, basis, pts))
+        object.__setattr__(self, "_boundary", basis.eval([self.bvp.a, self.bvp.b]))
 
     @property
     def n_modes(self) -> int:
         return self.basis.samples.shape[1]
+
+    def at_energy(self, energy: float) -> CollocationProblem:
+        """The same problem at another energy, sharing the tabulated basis."""
+        other = copy.copy(self)
+        object.__setattr__(other, "bvp", replace(self.bvp, E=energy))
+        return other
 
 
 def default_collocation_points(bvp: BoundaryValueProblem, basis: BasisFunction) -> np.ndarray:
@@ -111,22 +157,16 @@ def assemble(problem: CollocationProblem) -> AssembledSystem:
         A[j, i] = -phi_i''(x_j)/2 + [V(x_j) - E] phi_i(x_j),  rhs 0,
 
     with V the regularized potential; then one row per boundary condition
-    pinning y(a) = y_a and y(b) = y_f.
+    pinning y(a) = y_a and y(b) = y_f. Only the (V - E) diagonal is formed
+    here; the basis matrices come from the problem.
     """
     bvp = problem.bvp
-    pts = problem.interior_points
-    basis = problem.basis
-    v = bvp.potential(pts) - bvp.E
-    A = np.vstack(
-        [
-            -0.5 * basis.deriv(pts, order=2) + v[:, None] * basis.eval(pts),
-            basis.eval([bvp.a, bvp.b]),
-        ]
-    )
-    rhs = np.zeros(pts.size + 2)
+    n_interior = problem.interior_points.size
+    A = np.vstack([problem._interior.operator(bvp.E), problem._boundary])
+    rhs = np.zeros(n_interior + 2)
     rhs[-2] = bvp.y_a
     rhs[-1] = bvp.y_f
-    return AssembledSystem(matrix=A, rhs=rhs, n_interior=pts.size)
+    return AssembledSystem(matrix=A, rhs=rhs, n_interior=n_interior)
 
 
 @dataclass(frozen=True)
@@ -147,6 +187,10 @@ class SpectralSolution:
 
 def solve(problem: CollocationProblem) -> SpectralSolution:
     """Solve the collocation system for the coefficients.
+
+    The basis matrices were built with the problem; per call only the
+    (V - E) diagonal is assembled, the system solved and the boundary
+    values checked against the problem's boundary rows.
 
     A square system goes through a direct partial-pivoting solve. An
     overdetermined one is solved in the least-squares sense with the two
@@ -192,7 +236,8 @@ def solve(problem: CollocationProblem) -> SpectralSolution:
         method=method,
     )
     tol = _BOUNDARY_TOL * max(1.0, abs(bvp.y_f))
-    if abs(sol.eval(bvp.a) - bvp.y_a) > tol or abs(sol.eval(bvp.b) - bvp.y_f) > tol:
+    y_a, y_b = problem._boundary @ coeffs
+    if abs(y_a - bvp.y_a) > tol or abs(y_b - bvp.y_f) > tol:
         raise NumericalError(
             f"boundary conditions not met; the collocation matrix is "
             f"numerically singular as posed (sigma_min/sigma_max = {sv[-1] / sv[0]:.2e})"
@@ -203,11 +248,9 @@ def solve(problem: CollocationProblem) -> SpectralSolution:
 def residual(sol: SpectralSolution, eval_points) -> np.ndarray:
     """Pointwise defect L[y](x) - E y(x) of the represented solution,
     where L is the left side of the radial equation."""
-    xs = np.atleast_1d(np.asarray(eval_points, dtype=float))
     bvp = sol.problem.bvp
-    y = sol.eval(xs)
-    ypp = sol.deriv(xs, order=2)
-    return -0.5 * ypp + (bvp.potential(xs) - bvp.E) * y
+    tab = _Tabulation.at(bvp, sol.problem.basis, eval_points)
+    return tab.defect(sol.coefficients, bvp.E)[0]
 
 
 def relative_residual_norm(sol: SpectralSolution, eval_points) -> float:
@@ -219,11 +262,9 @@ def relative_residual_norm(sol: SpectralSolution, eval_points) -> float:
     drags in shapes the basis renders poorly. A zero solution reports
     the plain RMS defect (zero for the trivial problem).
     """
-    res = residual(sol, eval_points)
-    y = sol.eval(np.atleast_1d(np.asarray(eval_points, dtype=float)))
-    res_rms = float(np.sqrt(np.mean(res * res)))
-    y_rms = float(np.sqrt(np.mean(y * y)))
-    return res_rms / y_rms if y_rms > 0.0 else res_rms
+    bvp = sol.problem.bvp
+    tab = _Tabulation.at(bvp, sol.problem.basis, eval_points)
+    return tab.relative_norm(sol.coefficients, bvp.E)
 
 
 @dataclass(frozen=True)
@@ -253,6 +294,12 @@ def energy_scan(
     solution-relative residual norm on a fixed dense interior grid of
     201 points.
 
+    The basis is evaluated once per scan, not per energy: the collocation
+    problem and the dense grid's basis values, second derivatives and
+    potential are built before the loop. Each energy runs `solve` on the
+    problem at that energy and forms the norm from the dense matrices
+    times the coefficients; a failed solve marks its row 'failed: <reason>'.
+
     The discrete minimum is refined by the vertex of the parabola through
     it and its neighbors; a minimum on the scan edge is reported with
     status 'boundary-minimum' instead.
@@ -262,14 +309,14 @@ def energy_scan(
     if n_steps < 3:
         raise ValueError(f"need at least 3 scan steps, got {n_steps}")
     energies = np.linspace(e_lo, e_hi, n_steps)
-    dense = _scan_grid(bvp)
+    problem = make_collocation_problem(bvp, basis)
+    dense = _Tabulation.at(bvp, basis, _scan_grid(bvp))
     norms = np.full(n_steps, np.nan)
     statuses: list[str] = []
     for k, e in enumerate(energies):
         try:
-            prob = make_collocation_problem(replace(bvp, E=e), basis)
-            sol = solve(prob)
-            norms[k] = relative_residual_norm(sol, dense)
+            sol = solve(problem.at_energy(e))
+            norms[k] = dense.relative_norm(sol.coefficients, e)
             statuses.append("ok")
         except NumericalError as err:
             statuses.append(f"failed: {err}")

@@ -1,9 +1,13 @@
 import json
+import math
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from klbasis import cli, klcore
 from klbasis.csvio import read_csv
@@ -205,6 +209,27 @@ class TestSolve:
         assert "Warning" not in err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            # fails on the mid window, after the export grid
+            {"sampling": {"N_s": 120}, "truncation": {"value": 30}},
+            # fails on the residual-norm grid, after the mid window
+            {
+                "family": {"n_max": 7},
+                "sampling": {"N_s": 80, "b": 20.0, "representation": "R"},
+                "truncation": {"value": 6},
+                "problem": {"E": -0.95, "y_f": 1.0},
+            },
+        ],
+        ids=["N_s-120", "R-80-nodes"],
+    )
+    def test_numerical_failure_writes_nothing(self, tmp_path, overrides):
+        cfg = write_config(tmp_path, overrides)
+        out = tmp_path / "out"
+        assert run(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestScanEnergy:
     def test_reproduction_scan(self, tmp_path):
@@ -283,3 +308,104 @@ class TestDeterminism:
         assert first.keys() == second.keys()
         for name in first:
             assert first[name] == second[name], name
+
+
+# One leaf set to a value that validation must reject, or that the run may
+# fail on numerically.
+_BAD_LEAVES = [
+    ("family", "n_max", 1),
+    ("family", "Z", 0.0),
+    ("sampling", "N_s", 12.5),
+    ("sampling", "kind", "gauss"),
+    ("truncation", "value", 0),
+    ("problem", "E", float("nan")),
+    ("problem", "l", 4),
+    ("problem", "b", 99.0),
+    ("problem", "E_range", [-0.3, -0.7]),
+    ("problem", "n_steps", 2),
+    ("problem", "y_a", 1.0),
+    ("output", "export_points", 1),
+    ("output", "formats", ["csv"]),
+]
+
+
+@st.composite
+def run_configs(draw):
+    n_s = draw(st.integers(4, 40))
+    l = draw(st.integers(0, 2))
+    e_lo = draw(st.floats(-1.0, -0.1))
+    truncation = draw(
+        st.one_of(
+            st.builds(lambda v: {"criterion": "fixed_m", "value": v}, st.integers(1, n_s)),
+            st.builds(
+                lambda v: {"criterion": "energy_fraction", "value": v}, st.floats(0.5, 1.0)
+            ),
+        )
+    )
+    cfg = {
+        "family": {"n_max": draw(st.integers(2, 5)), "Z": draw(st.sampled_from([1.0, 2.0]))},
+        "sampling": {
+            "kind": draw(st.sampled_from(["uniform", "chebyshev-lobatto"])),
+            "N_s": n_s,
+            "b": draw(st.sampled_from([20.0, 40.0])),
+            "representation": draw(st.sampled_from(["R", "rR"])),
+        },
+        "truncation": truncation,
+        "problem": {
+            "n": l + draw(st.integers(1, 2)),
+            "l": l,
+            "E": draw(st.floats(-1.0, -0.05)),
+            "E_range": [e_lo, e_lo + draw(st.floats(0.01, 0.5))],
+            "n_steps": draw(st.integers(3, 9)),
+            "b": draw(st.floats(2.0, 20.0)),
+            "y_a": draw(st.sampled_from([0.0, 0.0, 0.3])),
+            "y_f": draw(st.sampled_from([0.0, 1e-4, 1.0])),
+        },
+        "output": {"export_points": draw(st.integers(2, 50))},
+    }
+    bad = draw(st.one_of(st.none(), st.none(), st.sampled_from(_BAD_LEAVES)))
+    if bad is not None:
+        section, key, value = bad
+        cfg[section][key] = value
+    return cfg
+
+
+def _reject_constant(name):
+    raise AssertionError(f"report.json holds {name}")
+
+
+def _assert_finite_numbers(doc):
+    if isinstance(doc, dict):
+        for value in doc.values():
+            _assert_finite_numbers(value)
+    elif isinstance(doc, list):
+        for value in doc:
+            _assert_finite_numbers(value)
+    elif isinstance(doc, float):
+        assert math.isfinite(doc)
+
+
+class TestExitCodeProperties:
+    """Every config ends in exit 0 with finite outputs, exit 1 before any
+    output, or exit 2 leaving no files; no exception escapes `main`."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(cfg=run_configs(), command=st.sampled_from(["solve", "scan-energy"]))
+    def test_exit_code_contract(self, cfg, command):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp_path = Path(tmp)
+            path = write_config(tmp_path, cfg)
+            out = tmp_path / "out"
+            code = run([command, "--config", str(path), "--out-dir", str(out)])
+            assert code in (0, 1, 2)
+            event(f"{command} exit {code}")
+            if code == 1:
+                assert not out.exists()
+            elif code == 2:
+                assert not out.exists() or not any(out.iterdir())
+            else:
+                with open(out / "report.json") as fh:
+                    _assert_finite_numbers(json.load(fh, parse_constant=_reject_constant))
+                if command == "scan-energy":
+                    _, rows = read_csv(out / "scan.csv")
+                    assert all(math.isfinite(float(r[1])) for r in rows if r[2] == "ok")

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import scaled_rel_l2
 
-from klbasis import basisfn, klcore, spectral
+from klbasis import basisfn, cli, klcore, spectral
 from klbasis.errors import NumericalError
 from klbasis.hydrogenic import (
     BoundaryValueProblem,
@@ -31,6 +33,34 @@ def eigenmode_basis(extra=()):
 GROUND_BVP = BoundaryValueProblem(
     l=0, Z=1.0, E=-0.5, a=0.0, b=7.0, y_a=0.0, y_f=1e-4, epsilon=1e-10
 )
+
+
+def count_kernel_calls(monkeypatch) -> list:
+    calls = []
+    kernel = basisfn.BasisFunction._interpolate
+
+    def counted(self, values, x):
+        calls.append(np.size(x))
+        return kernel(self, values, x)
+
+    monkeypatch.setattr(basisfn.BasisFunction, "_interpolate", counted)
+    return calls
+
+
+def pipeline_case(overrides: dict):
+    config = cli.validate_config(cli._deep_merge(cli.DEFAULT_CONFIG, overrides))
+    return cli.problem_from_config(config), cli.run_pipeline(config).interpolant
+
+
+EXCITED_2P = {"problem": {"n": 2, "l": 1, "E": -0.125, "E_range": [-0.2, -0.05], "b": 20.0}}
+# 35 of the 41 default scan energies miss the boundary values (numerically
+# singular collocation matrix), so the scan has failed rows
+FAILING_ROWS = {
+    "family": {"n_max": 3},
+    "sampling": {"N_s": 20, "b": 80.0, "representation": "R"},
+    "truncation": {"value": 11},
+    "problem": {"l": 2, "n": 3, "y_a": 0.3, "y_f": 1.0},
+}
 
 
 class TestAssemble:
@@ -172,6 +202,22 @@ class TestResidual:
 
 
 class TestResidualNormAndMonotonicity:
+    def test_one_kernel_call_per_matrix(
+        self, monkeypatch, reproduction_funcs8, reproduction_bvp
+    ):
+        # the norm evaluates the solution once: its values and its second
+        # derivative, and gives the bits of the plain formula
+        sol = solve(make_collocation_problem(reproduction_bvp, reproduction_funcs8))
+        dense = spectral._scan_grid(reproduction_bvp)
+        y = sol.eval(dense)
+        res = -0.5 * sol.deriv(dense, order=2) + (
+            reproduction_bvp.potential(dense) - reproduction_bvp.E
+        ) * y
+        expected = float(np.sqrt(np.mean(res * res))) / float(np.sqrt(np.mean(y * y)))
+        calls = count_kernel_calls(monkeypatch)
+        assert relative_residual_norm(sol, dense) == expected
+        assert len(calls) == 2
+
     def test_completeness_monotonicity(self, reproduction_pipeline, reproduction_bvp):
         dense = spectral._scan_grid(reproduction_bvp)
         norms = {}
@@ -196,6 +242,38 @@ class TestResidualNormAndMonotonicity:
 
 
 class TestEnergyScan:
+    @pytest.mark.parametrize(
+        "overrides, e_lo, e_hi, n_failed",
+        [({}, -0.7, -0.3, 0), (EXCITED_2P, -0.2, -0.05, 0), (FAILING_ROWS, -0.7, -0.3, 35)],
+        ids=["1s", "2p", "failing-rows"],
+    )
+    def test_matches_per_energy_solve(self, overrides, e_lo, e_hi, n_failed):
+        bvp, basis = pipeline_case(overrides)
+        scan = energy_scan(bvp, basis, e_lo, e_hi, 41)
+        dense = spectral._scan_grid(bvp)
+        for e, norm, status in zip(scan.energies, scan.residual_norms, scan.statuses):
+            try:
+                sol = solve(make_collocation_problem(replace(bvp, E=e), basis))
+            except NumericalError as err:
+                assert status == f"failed: {err}"
+                assert np.isnan(norm)
+                continue
+            assert status == "ok"
+            expected = relative_residual_norm(sol, dense)
+            assert abs(norm - expected) <= 1e-12 * expected
+        assert sum(s.startswith("failed:") for s in scan.statuses) == n_failed
+
+    def test_basis_evaluated_once_per_scan(
+        self, monkeypatch, reproduction_funcs8, reproduction_bvp
+    ):
+        calls = count_kernel_calls(monkeypatch)
+        counts = []
+        for n_steps in (5, 41):
+            calls.clear()
+            energy_scan(reproduction_bvp, reproduction_funcs8, -0.7, -0.3, n_steps)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
     def test_reproduction_scan(self, reproduction_funcs8, reproduction_bvp):
         scan = energy_scan(reproduction_bvp, reproduction_funcs8, -0.7, -0.3, 41)
         assert scan.argmin_status == "interior"
