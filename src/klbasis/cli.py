@@ -7,9 +7,12 @@ Subcommands:
     scan-energy    scan.csv, report.json
     compare-bases  comparison.csv
 
-Configuration is a single JSON document; ``--config`` points at it and
-``--out-dir`` / ``--seed`` override the corresponding entries. Exit codes:
-0 success, 1 configuration error, 2 numerical failure.
+Configuration is a single JSON document whose keys, defaults and checks
+form one table, `_SCHEMA`; ``--config`` points at it and ``--out-dir`` /
+``--seed`` override the corresponding entries. Each subcommand returns its
+artifacts and `main` writes them. Exit codes: 0 success, 1 configuration
+error, 2 a classified numerical failure (`NumericalError`); any other
+exception is a defect and propagates.
 """
 
 from __future__ import annotations
@@ -17,10 +20,9 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import math
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,40 +36,105 @@ from .hydrogenic import (
     reduced_ground_state,
 )
 
-DEFAULT_CONFIG = {
-    "family": {"n_max": 7, "Z": 1.0},
-    "sampling": {"kind": "uniform", "N_s": 20, "a": 0.0, "b": 40.0, "representation": "rR"},
-    "truncation": {"criterion": "fixed_m", "value": 8},
-    "problem": {
-        "n": 1,
-        "l": 0,
-        "E": -0.5,
-        "E_range": [-0.7, -0.3],
-        "n_steps": 41,
-        "a": 0.0,
-        "b": 7.0,
-        "y_a": 0.0,
-        "y_f": 1e-4,
-        "epsilon": 1e-10,
-    },
-    "output": {"directory": "out", "export_points": 201},
-    "seed": 20080556,
-}
-
-# fractions of the solve domain bounding the mid-window error report;
-# for the 28-orbital reproduction on [0, 7] they give [0.5, 5].
-_MID_LO = 1.0 / 14.0
-_MID_HI = 5.0 / 7.0
+# -- configuration ------------------------------------------------------------
+# Each check takes a value as written and its dotted key name, and raises
+# ConfigError if the value is unusable; none rewrites the value.
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
-    out = copy.deepcopy(base)
-    for key, val in override.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], val)
-        else:
-            out[key] = copy.deepcopy(val)
-    return out
+def _number(value, name: str) -> float:
+    """A finite JSON number, within a double's range; booleans are not
+    numbers here."""
+    finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if isinstance(value, bool) or not finite:
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, name: str) -> int:
+    if not _number(value, name).is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _at_least(low, kind=_integer, why: str = "") -> Callable:
+    def check(value, name: str) -> None:
+        number = kind(value, name)
+        if number < low:
+            raise ConfigError(f"{name} must be >= {low}{why}, got {number}")
+
+    return check
+
+
+def _positive(value, name: str) -> None:
+    if not _number(value, name) > 0:
+        raise ConfigError(f"{name} must be positive, got {value}")
+
+
+def _one_of(*choices: str) -> Callable:
+    def check(value, name: str) -> None:
+        if value not in choices:
+            raise ConfigError(f"unknown {name} {value!r}")
+
+    return check
+
+
+def _energy_range(value, name: str) -> None:
+    if value is None:
+        return
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{name} must be [lo, hi], got {value!r}")
+    if not _number(value[0], f"{name}[0]") < _number(value[1], f"{name}[1]"):
+        raise ConfigError(f"{name} must have lo < hi, got {value}")
+
+
+def _directory(value, name: str) -> None:
+    """A string naming a directory that exists or can be created: neither
+    it nor any parent may be an existing non-directory."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string, got {value!r}")
+    for path in (Path(value), *Path(value).parents):
+        if path.exists() and not path.is_dir():
+            raise ConfigError(f"{name} cannot be created: {path} exists and is not a directory")
+
+
+# Every config key: (dotted name, default, check). The defaults reproduce
+# the 28-orbital experiment; a name without a dot is a top-level key.
+_SCHEMA = (
+    ("family.n_max", 7, _at_least(2, why="; a single orbital centers to zero")),
+    ("family.Z", 1.0, _positive),
+    ("sampling.kind", "uniform", _one_of("uniform", "chebyshev-lobatto")),
+    ("sampling.N_s", 20, _at_least(2)),
+    ("sampling.a", 0.0, _at_least(0, _number, "; orbitals are sampled at radii r >= 0")),
+    ("sampling.b", 40.0, _number),
+    ("sampling.representation", "rR", _one_of("R", "rR")),
+    ("truncation.criterion", "fixed_m", _one_of("fixed_m", "energy_fraction")),
+    ("truncation.value", 8, _number),
+    ("problem.n", 1, _at_least(1)),
+    ("problem.l", 0, _at_least(0)),
+    ("problem.E", -0.5, _number),
+    ("problem.E_range", [-0.7, -0.3], _energy_range),
+    ("problem.n_steps", 41, _at_least(3)),
+    ("problem.a", 0.0, _number),
+    ("problem.b", 7.0, _number),
+    ("problem.y_a", 0.0, _number),
+    ("problem.y_f", 1e-4, _number),
+    ("problem.epsilon", 1e-10, _positive),
+    ("output.directory", "out", _directory),
+    ("output.export_points", 201, _at_least(2)),
+    ("seed", 20080556, _at_least(0)),
+)
+
+
+def _nested(values) -> dict:
+    """(dotted name, value) pairs as a config document."""
+    doc: dict = {}
+    for name, value in values:
+        section, _, key = name.rpartition(".")
+        (doc.setdefault(section, {}) if section else doc)[key] = value
+    return doc
+
+
+DEFAULT_CONFIG = _nested((name, default) for name, default, _ in _SCHEMA)
 
 
 @dataclass(frozen=True)
@@ -82,140 +149,68 @@ class RunConfig:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "family": copy.deepcopy(self.family),
-            "sampling": copy.deepcopy(self.sampling),
-            "truncation": copy.deepcopy(self.truncation),
-            "problem": copy.deepcopy(self.problem),
-            "output": copy.deepcopy(self.output),
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def load_config(path: str | None, out_dir: str | None = None, seed: int | None = None) -> RunConfig:
-    """Merge the config file over the defaults and validate everything the
-    run will rely on. Raises ConfigError before any computation."""
-    merged = copy.deepcopy(DEFAULT_CONFIG)
+    """Read the config file, apply the defaults and the command-line
+    overrides, and validate everything the run will rely on. Raises
+    ConfigError before any computation."""
+    user = {}
     if path is not None:
         try:
             with open(path) as fh:
                 user = json.load(fh)
         except OSError as err:
             raise ConfigError(f"cannot read config file: {err}") from err
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # JSONDecodeError, UnicodeDecodeError, int digit limit
             raise ConfigError(f"config file is not valid JSON: {err}") from err
-        if not isinstance(user, dict):
-            raise ConfigError("config document must be a JSON object")
-        # before the overrides below can merge over a non-object section
-        _reject_unknown_keys(user, DEFAULT_CONFIG)
-        merged = _deep_merge(merged, user)
-    overrides = {}
-    if out_dir is not None:
-        overrides["output"] = {"directory": out_dir}
-    if seed is not None:
-        overrides["seed"] = seed
-    return validate_config(_deep_merge(merged, overrides))
+    overrides = {"output.directory": out_dir, "seed": seed}
+    return validate_config(user, {k: v for k, v in overrides.items() if v is not None})
 
 
-def _reject_unknown_keys(doc: dict, known: dict, where: str = "") -> None:
+def validate_config(doc: dict, overrides: dict | None = None) -> RunConfig:
+    """Apply the defaults to a config document and check it: first its
+    shape (no unknown key, every section an object), then each value,
+    with `overrides` (dotted name -> value) taking the place of the
+    document's, then the checks that relate several keys."""
+    if not isinstance(doc, dict):
+        raise ConfigError("config document must be a JSON object")
+    values = {name: default for name, default, _ in _SCHEMA}
     for key, value in doc.items():
-        name = f"{where}{key}"
-        if key not in known:
-            raise ConfigError(f"unknown config key {name!r}")
-        if isinstance(known[key], dict):
+        if isinstance(DEFAULT_CONFIG.get(key), dict):
             if not isinstance(value, dict):
-                raise ConfigError(f"{name} must be a JSON object")
-            _reject_unknown_keys(value, known[key], f"{name}.")
-
-
-def _number(value, name: str) -> float:
-    """A finite JSON number; booleans are not numbers here."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _integer(value, name: str) -> int:
-    if not _number(value, name).is_integer():
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def validate_config(cfg: dict) -> RunConfig:
-    try:
-        _reject_unknown_keys(cfg, DEFAULT_CONFIG)
-        fam = cfg["family"]
-        samp = cfg["sampling"]
-        trunc = cfg["truncation"]
-        prob = cfg["problem"]
-        out = cfg["output"]
-        n_max = _integer(fam["n_max"], "family.n_max")
-        if n_max < 2:
-            raise ConfigError(
-                f"family.n_max must be >= 2; a single orbital centers to zero, got {n_max}"
-            )
-        if not _number(fam["Z"], "family.Z") > 0:
-            raise ConfigError(f"family.Z must be positive, got {fam['Z']}")
-        if samp["kind"] not in ("uniform", "chebyshev-lobatto"):
-            raise ConfigError(f"unknown sampling.kind {samp['kind']!r}")
-        n_s = _integer(samp["N_s"], "sampling.N_s")
-        if n_s < 2:
-            raise ConfigError(f"sampling.N_s must be >= 2, got {n_s}")
-        samp_a = _number(samp["a"], "sampling.a")
-        samp_b = _number(samp["b"], "sampling.b")
-        if not samp_a < samp_b:
-            raise ConfigError("sampling requires a < b")
-        if samp["representation"] not in ("R", "rR"):
-            raise ConfigError(f"unknown sampling.representation {samp['representation']!r}")
-        if trunc["criterion"] not in ("fixed_m", "energy_fraction"):
-            raise ConfigError(f"unknown truncation.criterion {trunc['criterion']!r}")
-        if trunc["criterion"] == "fixed_m":
-            if not 1 <= _integer(trunc["value"], "truncation.value") <= n_s:
-                raise ConfigError(f"truncation.value must be in [1, N_s], got {trunc['value']}")
+                raise ConfigError(f"{key} must be a JSON object")
+            given = {f"{key}.{sub}": leaf for sub, leaf in value.items()}
         else:
-            if not 0.0 < _number(trunc["value"], "truncation.value") <= 1.0:
-                raise ConfigError(f"truncation.value must be in (0, 1], got {trunc['value']}")
-        n = _integer(prob["n"], "problem.n")
-        l = _integer(prob["l"], "problem.l")
-        if n < 1 or l < 0 or l >= n:
-            raise ConfigError(f"problem quantum numbers need 0 <= l < n, got l={l}, n={n}")
-        for key in ("E", "y_a", "y_f"):
-            _number(prob[key], f"problem.{key}")
-        prob_a = _number(prob["a"], "problem.a")
-        prob_b = _number(prob["b"], "problem.b")
-        if not prob_a < prob_b:
-            raise ConfigError("problem requires a < b")
-        if not _number(prob["epsilon"], "problem.epsilon") > 0:
-            raise ConfigError("problem.epsilon must be positive")
-        if prob_a < samp_a or prob_b > samp_b:
-            raise ConfigError(
-                "problem domain must lie within the sampling domain; "
-                "the basis cannot be evaluated outside it"
-            )
-        e_range = prob["E_range"]
-        if e_range is not None:
-            if not isinstance(e_range, list) or len(e_range) != 2:
-                raise ConfigError(f"problem.E_range must be [lo, hi], got {e_range!r}")
-            if not _number(e_range[0], "problem.E_range[0]") < _number(
-                e_range[1], "problem.E_range[1]"
-            ):
-                raise ConfigError(f"problem.E_range must have lo < hi, got {e_range}")
-        if _integer(prob["n_steps"], "problem.n_steps") < 3:
-            raise ConfigError("problem.n_steps must be >= 3")
-        if not isinstance(out["directory"], str):
-            raise ConfigError(f"output.directory must be a string, got {out['directory']!r}")
-        if _integer(out["export_points"], "output.export_points") < 2:
-            raise ConfigError("output.export_points must be >= 2")
-        seed = _integer(cfg["seed"], "seed")
-        if seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {seed}")
-    except (KeyError, TypeError, ValueError, OverflowError) as err:
-        if isinstance(err, ConfigError):
-            raise
-        raise ConfigError(f"malformed config: {err}") from err
-    return RunConfig(
-        family=fam, sampling=samp, truncation=trunc, problem=prob, output=out, seed=seed
-    )
+            given = {key: value}
+        for name, leaf in given.items():
+            if name not in values:
+                raise ConfigError(f"unknown config key {name!r}")
+            values[name] = leaf
+    values.update(overrides or {})
+    for name, _, check in _SCHEMA:
+        check(values[name], name)
+    cfg = _nested((name, copy.deepcopy(value)) for name, value in values.items())
+
+    samp, trunc, prob = cfg["sampling"], cfg["truncation"], cfg["problem"]
+    if not samp["a"] < samp["b"]:
+        raise ConfigError("sampling requires a < b")
+    if trunc["criterion"] == "fixed_m":
+        if not 1 <= _integer(trunc["value"], "truncation.value") <= samp["N_s"]:
+            raise ConfigError(f"truncation.value must be in [1, N_s], got {trunc['value']}")
+    elif not 0.0 < trunc["value"] <= 1.0:
+        raise ConfigError(f"truncation.value must be in (0, 1], got {trunc['value']}")
+    if not prob["l"] < prob["n"]:
+        raise ConfigError(f"problem quantum numbers need l < n, got l={prob['l']}, n={prob['n']}")
+    if not prob["a"] < prob["b"]:
+        raise ConfigError("problem requires a < b")
+    if prob["a"] < samp["a"] or prob["b"] > samp["b"]:
+        raise ConfigError(
+            "problem domain must lie within the sampling domain; "
+            "the basis cannot be evaluated outside it"
+        )
+    return RunConfig(**cfg)
 
 
 # -- pipeline pieces ----------------------------------------------------------
@@ -258,13 +253,12 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     )
 
 
-def problem_from_config(config: RunConfig, energy: float | None = None) -> BoundaryValueProblem:
+def problem_from_config(config: RunConfig) -> BoundaryValueProblem:
     prob = config.problem
-    e = float(prob["E"]) if energy is None else energy
     return BoundaryValueProblem(
         l=int(prob["l"]),
         Z=float(config.family["Z"]),
-        E=e,
+        E=float(prob["E"]),
         a=float(prob["a"]),
         b=float(prob["b"]),
         y_a=float(prob["y_a"]),
@@ -293,6 +287,13 @@ def _reference(
     return (lambda xs: np.interp(xs, oracle.x, oracle.y)), "numerov"
 
 
+def _mid_window(bvp: BoundaryValueProblem) -> np.ndarray:
+    """The 201 points where errors are reported, on a window bounded by
+    fixed fractions of the domain: [0.5, 5] for the reproduction on [0, 7]."""
+    span = bvp.b - bvp.a
+    return np.linspace(bvp.a + (1.0 / 14.0) * span, bvp.a + (5.0 / 7.0) * span, 201)
+
+
 def _rel_l2(y: np.ndarray, ref: np.ndarray) -> float | None:
     denom = float(np.linalg.norm(ref))
     if denom == 0.0:
@@ -311,34 +312,17 @@ def _rel_l2_scaled(y: np.ndarray, ref: np.ndarray) -> float | None:
     return float(np.linalg.norm(alpha * y - ref) / denom)
 
 
-def _emit(path: Path) -> None:
-    print(f"wrote {path}")
-
-
 # -- subcommands --------------------------------------------------------------
-# Each subcommand computes every number before it creates the output
-# directory, so a run that fails writes nothing.
+# Each subcommand returns its artifacts, file name -> CSV text or JSON
+# document; `main` writes them once the command has returned, so a run
+# that fails writes nothing.
+
+Artifacts = dict[str, "str | dict"]
 
 
-def cmd_gen_basis(config: RunConfig) -> int:
+def cmd_gen_basis(config: RunConfig) -> Artifacts:
+    """sample wavefunctions and write the basis artifact set"""
     pipe = run_pipeline(config)
-    out_dir = Path(config.output["directory"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    path = csvio.write_text(out_dir / "samples.csv", sampling.sample_matrix_csv_text(pipe.sample))
-    _emit(path)
-
-    n = pipe.cov.n
-    header = [f"k_{j}" for j in range(n)]
-    path = csvio.write_csv(out_dir / "covariance.csv", header, (row for row in pipe.cov.K))
-    _emit(path)
-
-    path = csvio.write_text(out_dir / "eigenvalues.csv", klcore.eigenvalues_csv_text(pipe.basis))
-    _emit(path)
-
-    path = csvio.write_text(out_dir / "basis.csv", klcore.vectors_csv_text(pipe.basis))
-    _emit(path)
-
     doc = klcore.basis_json_doc(pipe.basis)
     doc["truncation"] = {
         "criterion": config.truncation["criterion"],
@@ -346,27 +330,30 @@ def cmd_gen_basis(config: RunConfig) -> int:
         "M": pipe.truncated.M,
     }
     doc["config"] = config.to_dict()
-    path = csvio.write_json(out_dir / "basis.json", doc)
-    _emit(path)
-    return 0
+    return {
+        "samples.csv": sampling.sample_matrix_csv_text(pipe.sample),
+        "covariance.csv": csvio.csv_text([f"k_{j}" for j in range(pipe.cov.n)], pipe.cov.K),
+        "eigenvalues.csv": klcore.eigenvalues_csv_text(pipe.basis),
+        "basis.csv": klcore.vectors_csv_text(pipe.basis),
+        "basis.json": doc,
+    }
 
 
-def cmd_solve(config: RunConfig) -> int:
+def cmd_solve(config: RunConfig) -> Artifacts:
+    """solve the boundary-value problem in the truncated basis"""
     pipe = run_pipeline(config)
     bvp = problem_from_config(config)
     problem = spectral.make_collocation_problem(bvp, pipe.interpolant)
     sol = spectral.solve(problem)
 
     xs = np.linspace(bvp.a, bvp.b, int(config.output["export_points"]))
-    y = np.atleast_1d(sol.eval(xs))
-    res = spectral.residual(sol, xs)
+    # one tabulation of the export grid gives both the solution and its defect
+    res, y = spectral._Tabulation.at(bvp, problem.basis, xs).defect(sol.coefficients, bvp.E)
     reference, ref_kind = _reference(config, bvp)
     ref = reference(xs)
 
-    span = bvp.b - bvp.a
-    lo, hi = bvp.a + _MID_LO * span, bvp.a + _MID_HI * span
-    xm = np.linspace(lo, hi, 201)
-    ym = np.atleast_1d(sol.eval(xm))
+    xm = _mid_window(bvp)
+    ym = sol.eval(xm)
     refm = reference(xm)
     dense = spectral._scan_grid(bvp)
     report = {
@@ -378,30 +365,20 @@ def cmd_solve(config: RunConfig) -> int:
         "rel_l2_error_mid": _rel_l2_scaled(ym, refm),
         "rel_l2_error_mid_raw": _rel_l2(ym, refm),
         "residual_norm": spectral.relative_residual_norm(sol, dense),
-        "mid_window": [lo, hi],
+        "mid_window": [float(xm[0]), float(xm[-1])],
         "reference": ref_kind,
     }
-
-    out_dir = Path(config.output["directory"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = csvio.write_csv(
-        out_dir / "solution.csv",
-        ["x", "y_numeric", "y_reference", "residual"],
-        ([xs[i], y[i], ref[i], res[i]] for i in range(xs.size)),
-    )
-    _emit(path)
-    path = csvio.write_csv(
-        out_dir / "residual.csv",
-        ["x", "residual"],
-        ([xs[i], res[i]] for i in range(xs.size)),
-    )
-    _emit(path)
-    path = csvio.write_json(out_dir / "report.json", report)
-    _emit(path)
-    return 0
+    return {
+        "solution.csv": csvio.csv_text(
+            ["x", "y_numeric", "y_reference", "residual"], zip(xs, y, ref, res)
+        ),
+        "residual.csv": csvio.csv_text(["x", "residual"], zip(xs, res)),
+        "report.json": report,
+    }
 
 
-def cmd_scan_energy(config: RunConfig) -> int:
+def cmd_scan_energy(config: RunConfig) -> Artifacts:
+    """scan trial energies and locate the residual minimum"""
     e_range = config.problem["E_range"]
     if e_range is None:
         raise ConfigError("scan-energy requires problem.E_range")
@@ -410,23 +387,16 @@ def cmd_scan_energy(config: RunConfig) -> int:
     scan = spectral.energy_scan(
         bvp, pipe.interpolant, float(e_range[0]), float(e_range[1]), int(config.problem["n_steps"])
     )
-    out_dir = Path(config.output["directory"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = (
-        [scan.energies[i], scan.residual_norms[i], scan.statuses[i]]
-        for i in range(scan.energies.size)
-    )
-    path = csvio.write_csv(out_dir / "scan.csv", ["E", "residual_norm", "status"], rows)
-    _emit(path)
-    report = {
-        "config": config.to_dict(),
-        "argmin_energy": scan.argmin_energy,
-        "argmin_status": scan.argmin_status,
-        "n_failed": sum(1 for s in scan.statuses if s != "ok"),
+    rows = zip(scan.energies, scan.residual_norms, scan.statuses)
+    return {
+        "scan.csv": csvio.csv_text(["E", "residual_norm", "status"], rows),
+        "report.json": {
+            "config": config.to_dict(),
+            "argmin_energy": scan.argmin_energy,
+            "argmin_status": scan.argmin_status,
+            "n_failed": sum(1 for s in scan.statuses if s != "ok"),
+        },
     }
-    path = csvio.write_json(out_dir / "report.json", report)
-    _emit(path)
-    return 0
 
 
 def _random_orthonormal(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -445,11 +415,12 @@ def _monomial_basis(grid_points: np.ndarray, m: int) -> np.ndarray:
     return Q * np.sign(np.diag(R))
 
 
-def cmd_compare_bases(config: RunConfig) -> int:
+def cmd_compare_bases(config: RunConfig) -> Artifacts:
+    """compare reconstruction and solve errors across basis sets"""
     pipe = run_pipeline(config)
     m = pipe.truncated.M
     grid = pipe.sample.grid
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(int(config.seed))
 
     candidates = [
         ("kl", pipe.basis.vectors[:, :m]),
@@ -458,8 +429,7 @@ def cmd_compare_bases(config: RunConfig) -> int:
     ]
 
     bvp = problem_from_config(config)
-    span = bvp.b - bvp.a
-    xm = np.linspace(bvp.a + _MID_LO * span, bvp.a + _MID_HI * span, 201)
+    xm = _mid_window(bvp)
     reference, _ = _reference(config, bvp)
     refm = reference(xm)
 
@@ -469,43 +439,15 @@ def cmd_compare_bases(config: RunConfig) -> int:
         interpolant = basisfn.BasisFunction(grid.points, B)
         try:
             sol = spectral.solve(spectral.make_collocation_problem(bvp, interpolant))
-            ym = np.atleast_1d(sol.eval(xm))
-            rel = _rel_l2_scaled(ym, refm)
-            rel_s = csvio.fmt(rel) if rel is not None else "nan"
+            rel = _rel_l2_scaled(sol.eval(xm), refm)
         except NumericalError:
-            rel_s = "nan"
-        rows.append([name, m, mse, rel_s])
-    out_dir = Path(config.output["directory"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = csvio.write_csv(
-        out_dir / "comparison.csv",
-        ["basis_name", "M", "reconstruction_mse", "solve_rel_error"],
-        ([name, str(mm), mse, rel] for name, mm, mse, rel in rows),
-    )
-    _emit(path)
-    return 0
+            rel = None
+        rows.append([name, str(m), mse, "nan" if rel is None else rel])
+    header = ["basis_name", "M", "reconstruction_mse", "solve_rel_error"]
+    return {"comparison.csv": csvio.csv_text(header, rows)}
 
 
 # -- entry point --------------------------------------------------------------
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="klbasis",
-        description="Covariance-optimal basis construction and radial collocation solver",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("gen-basis", "sample wavefunctions and write the basis artifact set"),
-        ("solve", "solve the boundary-value problem in the truncated basis"),
-        ("scan-energy", "scan trial energies and locate the residual minimum"),
-        ("compare-bases", "compare reconstruction and solve errors across basis sets"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", default=None, help="path to a JSON config file")
-        p.add_argument("--out-dir", default=None, help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, default=None, help="random seed (overrides config)")
-    return parser
 
 
 _COMMANDS = {
@@ -516,21 +458,37 @@ _COMMANDS = {
 }
 
 
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="klbasis",
+        description="Covariance-optimal basis construction and radial collocation solver",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.__doc__)
+        p.add_argument("--config", default=None, help="path to a JSON config file")
+        p.add_argument("--out-dir", default=None, help="output directory (overrides config)")
+        p.add_argument("--seed", type=int, default=None, help="random seed (overrides config)")
+    return parser
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config, out_dir=args.out_dir, seed=args.seed)
+        artifacts = _COMMANDS[args.command](config)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
-    try:
-        return _COMMANDS[args.command](config)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 1
-    except (NumericalError, ValueError) as err:
+    except NumericalError as err:
         print(f"numerical error: {err}", file=sys.stderr)
         return 2
+    out_dir = Path(config.output["directory"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, content in artifacts.items():
+        write = csvio.write_json if name.endswith(".json") else csvio.write_text
+        print(f"wrote {write(out_dir / name, content)}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -32,10 +32,6 @@ def write_text(path: str | Path, text: str) -> Path:
     return path
 
 
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
-    return write_text(path, csv_text(header, rows))
-
-
 def write_json(path: str | Path, doc: dict) -> Path:
     """JSON with sorted keys, two-space indent and a trailing newline."""
     return write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")

@@ -210,6 +210,9 @@ def solve(problem: CollocationProblem) -> SpectralSolution:
     n_rows, m = A.shape
     bvp = problem.bvp
 
+    if not np.isfinite(A).all():
+        # LAPACK's svd and lstsq fail on such a matrix with a LinAlgError
+        raise NumericalError("the collocation matrix is not finite")
     sv = np.linalg.svd(A, compute_uv=False)
     square = n_rows == m
     if square and sv[-1] >= _SINGULAR_GATE * sv[0]:

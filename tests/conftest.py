@@ -45,3 +45,16 @@ def scaled_rel_l2(y: np.ndarray, ref: np.ndarray) -> float:
     """Relative L2 after an optimal scalar fit of y to ref."""
     alpha = float(y @ ref) / float(y @ y)
     return float(np.linalg.norm(alpha * y - ref) / np.linalg.norm(ref))
+
+
+def count_kernel_calls(monkeypatch) -> list:
+    """Record the size of every barycentric kernel call from here on."""
+    calls = []
+    kernel = basisfn.BasisFunction._interpolate
+
+    def counted(self, values, x):
+        calls.append(np.size(x))
+        return kernel(self, values, x)
+
+    monkeypatch.setattr(basisfn.BasisFunction, "_interpolate", counted)
+    return calls

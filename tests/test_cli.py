@@ -9,8 +9,12 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from conftest import count_kernel_calls
+
 from klbasis import cli, klcore
 from klbasis.csvio import read_csv
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_config(tmp_path: Path, overrides: dict, name: str = "config.json") -> Path:
@@ -94,6 +98,48 @@ class TestConfig:
         # reduced-representation basis cannot meet a nonzero left boundary
         cfg = write_config(tmp_path, {"problem": {"y_a": 1.0, "y_f": 1.0}})
         assert run(["solve", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+
+    def test_readme_block_is_the_defaults(self):
+        block = README.read_text().split("```json\n", 1)[1].split("```", 1)[0]
+        assert json.loads(block) == cli.DEFAULT_CONFIG
+
+    @pytest.mark.parametrize("name", [name for name, _, _ in cli._SCHEMA])
+    def test_every_key_rejects_an_object(self, tmp_path, monkeypatch, capsys, name):
+        # no --out-dir, so output.directory is checked as the file gives it
+        section, _, key = name.rpartition(".")
+        cfg = write_config(tmp_path, {section: {key: {}}} if section else {key: {}})
+        monkeypatch.chdir(tmp_path)
+        assert run(["solve", "--config", str(cfg)]) == 1
+        assert name in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_values_kept_as_written(self):
+        config = cli.validate_config({"family": {"Z": 2}, "sampling": {"N_s": 20.0}})
+        doc = config.to_dict()
+        assert type(doc["family"]["Z"]) is int and type(doc["sampling"]["N_s"]) is float
+
+    @pytest.mark.parametrize("via_config", [False, True], ids=["out-dir-file", "under-a-file"])
+    def test_output_directory_blocked_by_a_file(self, tmp_path, capsys, via_config):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept")
+        if via_config:
+            cfg = write_config(tmp_path, {"output": {"directory": str(blocker / "out")}})
+            argv = ["gen-basis", "--config", str(cfg)]
+        else:
+            argv = ["gen-basis", "--out-dir", str(blocker)]
+        assert run(argv) == 1
+        assert "config error: output.directory" in capsys.readouterr().err
+        assert blocker.read_text() == "kept"
+        assert {p.name for p in tmp_path.iterdir()} <= {"blocker", "config.json"}
+
+    def test_value_error_is_not_a_numerical_failure(self, tmp_path, monkeypatch):
+        def broken(config):
+            raise ValueError("a defect, not numerics")
+
+        monkeypatch.setitem(cli._COMMANDS, "solve", broken)
+        with pytest.raises(ValueError, match="a defect"):
+            run(["solve", "--out-dir", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
 
 
 class TestGenBasis:
@@ -195,6 +241,13 @@ class TestSolve:
         assert report["reference"] == "numerov"
         assert report["rel_l2_error_mid"] <= 0.03
         assert len(calls) == 1
+
+    def test_export_grid_tabulated_once(self, tmp_path, monkeypatch):
+        # 3 kernel calls build the collocation problem, 2 tabulate the export
+        # grid, 1 the mid window and 2 the residual-norm grid
+        calls = count_kernel_calls(monkeypatch)
+        assert run(["solve", "--out-dir", str(tmp_path / "out")]) == 0
+        assert len(calls) == 8
 
     def test_unstable_interpolant_fails_without_warnings(self, tmp_path, capsys):
         # on 120 equispaced nodes the barycentric weights span about 35
@@ -385,12 +438,20 @@ def _assert_finite_numbers(doc):
         assert math.isfinite(doc)
 
 
+_ARTIFACTS = {
+    "gen-basis": {"samples.csv", "covariance.csv", "eigenvalues.csv", "basis.csv", "basis.json"},
+    "solve": {"solution.csv", "residual.csv", "report.json"},
+    "scan-energy": {"scan.csv", "report.json"},
+    "compare-bases": {"comparison.csv"},
+}
+
+
 class TestExitCodeProperties:
     """Every config ends in exit 0 with finite outputs, exit 1 before any
     output, or exit 2 leaving no files; no exception escapes `main`."""
 
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @given(cfg=run_configs(), command=st.sampled_from(["solve", "scan-energy"]))
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(cfg=run_configs(), command=st.sampled_from(sorted(_ARTIFACTS)))
     def test_exit_code_contract(self, cfg, command):
         with tempfile.TemporaryDirectory() as tmp:
             tmp_path = Path(tmp)
@@ -404,8 +465,10 @@ class TestExitCodeProperties:
             elif code == 2:
                 assert not out.exists() or not any(out.iterdir())
             else:
-                with open(out / "report.json") as fh:
-                    _assert_finite_numbers(json.load(fh, parse_constant=_reject_constant))
+                assert {p.name for p in out.iterdir()} == _ARTIFACTS[command]
+                if "report.json" in _ARTIFACTS[command]:
+                    with open(out / "report.json") as fh:
+                        _assert_finite_numbers(json.load(fh, parse_constant=_reject_constant))
                 if command == "scan-energy":
                     _, rows = read_csv(out / "scan.csv")
                     assert all(math.isfinite(float(r[1])) for r in rows if r[2] == "ok")

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import scaled_rel_l2
+from conftest import count_kernel_calls, scaled_rel_l2
 
 from klbasis import basisfn, cli, klcore, spectral
 from klbasis.errors import NumericalError
@@ -35,20 +35,8 @@ GROUND_BVP = BoundaryValueProblem(
 )
 
 
-def count_kernel_calls(monkeypatch) -> list:
-    calls = []
-    kernel = basisfn.BasisFunction._interpolate
-
-    def counted(self, values, x):
-        calls.append(np.size(x))
-        return kernel(self, values, x)
-
-    monkeypatch.setattr(basisfn.BasisFunction, "_interpolate", counted)
-    return calls
-
-
 def pipeline_case(overrides: dict):
-    config = cli.validate_config(cli._deep_merge(cli.DEFAULT_CONFIG, overrides))
+    config = cli.validate_config(overrides)
     return cli.problem_from_config(config), cli.run_pipeline(config).interpolant
 
 
@@ -163,6 +151,12 @@ class TestSolve:
         )
         with pytest.raises(NumericalError):
             solve(make_collocation_problem(GROUND_BVP, funcs))
+
+    def test_non_finite_matrix_is_a_numerical_error(self, reproduction_funcs8, reproduction_bvp):
+        # LAPACK would fail on it with a LinAlgError, which is no NumericalError
+        problem = make_collocation_problem(reproduction_bvp, reproduction_funcs8)
+        with pytest.raises(NumericalError, match="not finite"):
+            solve(problem.at_energy(np.inf))
 
 
 class TestResidual:
