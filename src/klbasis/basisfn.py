@@ -80,11 +80,19 @@ class BasisFunction:
             raise ValueError("interpolation nodes must be distinct")
         weights = barycentric_weights(nodes)
         D = differentiation_matrix(nodes, weights)
-        d1 = D @ samples
+        # D scales like 1/span, so a narrow enough node span overflows D^2 S
+        with np.errstate(over="ignore", invalid="ignore"):
+            d1 = D @ samples
+            d2 = D @ d1
+        if not (np.isfinite(d1).all() and np.isfinite(d2).all()):
+            raise NumericalError(
+                f"derivatives of the interpolant are not finite on nodes spanning "
+                f"[{nodes[0]}, {nodes[-1]}]; the node span is too narrow"
+            )
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_derivs", (d1, D @ d1))
+        object.__setattr__(self, "_derivs", (d1, d2))
 
     @property
     def a(self) -> float:

@@ -8,6 +8,7 @@ from klbasis.basisfn import (
     differentiation_matrix,
     interpolate,
 )
+from klbasis.errors import NumericalError
 from klbasis.sampling import GridKind, make_grid
 
 
@@ -60,6 +61,11 @@ class TestDerivatives:
         nodes = np.linspace(0.0, 2.0, 6)
         f = BasisFunction(nodes, nodes**3)
         assert f.deriv(1.0, order=2) == pytest.approx(6.0, abs=1e-9)
+
+    def test_narrow_node_span_raises(self):
+        # D scales like 1/span: D^2 S overflows on nodes 1e-300 apart
+        with pytest.raises(NumericalError, match="node span is too narrow"):
+            BasisFunction(cheb_nodes(20, 0.0, 1e-300), np.linspace(0.0, 1.0, 20))
 
     def test_rejects_higher_order(self):
         f = BasisFunction(np.linspace(0.0, 1.0, 4), np.zeros(4))

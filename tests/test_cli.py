@@ -13,6 +13,7 @@ from conftest import count_kernel_calls
 
 from klbasis import cli, klcore
 from klbasis.csvio import read_csv
+from klbasis.hydrogenic import OrbitalSpec, numerov_oracle, radial_wavefunction
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -98,6 +99,28 @@ class TestConfig:
         # reduced-representation basis cannot meet a nonzero left boundary
         cfg = write_config(tmp_path, {"problem": {"y_a": 1.0, "y_f": 1.0}})
         assert run(["solve", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("epsilon", [5e-324, 1e-320])
+    def test_epsilon_that_overflows_the_potential(self, tmp_path, capsys, epsilon):
+        # -Z/epsilon overflows to inf at the origin and puts nan in the artifacts
+        cfg = write_config(tmp_path, {"problem": {"epsilon": epsilon}})
+        out = tmp_path / "out"
+        assert run(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert "config error: problem.epsilon" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen-basis", "solve"])
+    def test_domain_too_narrow_to_differentiate(self, tmp_path, capsys, command):
+        # on nodes 1e-300 apart the derivative samples D^2 S overflow
+        cfg = write_config(tmp_path, {"sampling": {"b": 1e-300}, "problem": {"b": 1e-301}})
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([command, "--config", str(cfg), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: derivatives of the interpolant")
+        assert "[0.0, 1e-300]" in err
+        assert not out.exists()
 
     def test_readme_block_is_the_defaults(self):
         block = README.read_text().split("```json\n", 1)[1].split("```", 1)[0]
@@ -242,6 +265,15 @@ class TestSolve:
         assert report["rel_l2_error_mid"] <= 0.03
         assert len(calls) == 1
 
+    def test_excited_state_error_against_exact_solution(self, tmp_path):
+        # the same metric computed against the exact 2p solution x^2 e^{-x/2}
+        exact = 0.0030768370346592644
+        cfg = write_config(tmp_path, {"problem": {"n": 2, "l": 1, "E": -0.125, "b": 20.0}})
+        out = tmp_path / "out"
+        assert run(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        rel = read_json(out / "report.json")["rel_l2_error_mid"]
+        assert abs(rel - exact) <= 1e-9 * exact
+
     def test_export_grid_tabulated_once(self, tmp_path, monkeypatch):
         # 3 kernel calls build the collocation problem, 2 tabulate the export
         # grid, 1 the mid window and 2 the residual-norm grid
@@ -282,6 +314,42 @@ class TestSolve:
         out = tmp_path / "out"
         assert run(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 2
         assert not out.exists() or not any(out.iterdir())
+
+
+def _reduced_orbital(n: int, l: int):
+    return lambda x: x * radial_wavefunction(OrbitalSpec(n, l), x)
+
+
+# Problems whose reference is the Numerov oracle, with their exact reduced
+# solution where one is known; the others are checked against a 4e5-point
+# oracle read cubically.
+_REFERENCE_PROBES = {
+    "2p": ({"n": 2, "l": 1, "E": -0.125, "b": 20.0}, _reduced_orbital(2, 1)),
+    "2s": ({"n": 2, "l": 0, "E": -0.125, "b": 30.0}, _reduced_orbital(2, 0)),
+    "3d": ({"n": 3, "l": 2, "E": -1.0 / 18.0, "b": 40.0}, _reduced_orbital(3, 2)),
+    "1s-40": ({"E": -0.45, "b": 40.0}, None),
+    "general-start": ({"E": -0.3, "a": 1.0, "y_a": 0.5, "y_f": 0.5}, None),
+    "1s-80": ({"E": -0.49, "b": 80.0}, None),
+}
+
+
+class TestReference:
+    @pytest.mark.parametrize("probe", list(_REFERENCE_PROBES))
+    def test_no_less_accurate_than_fine_linear_read_out(self, probe):
+        # the mid-window error after the scale fit, which is what the
+        # reported metric sees, against the former 1e5-point linear reference
+        problem, exact = _REFERENCE_PROBES[probe]
+        if exact is not None:
+            problem = {**problem, "y_f": float(exact(problem["b"]))}
+        config = cli.validate_config({"sampling": {"b": 80.0}, "problem": problem})
+        bvp = cli.problem_from_config(config)
+        reference, kind = cli._reference(config, bvp)
+        assert kind == "numerov"
+        xm = cli._mid_window(bvp)
+        truth = exact(xm) if exact is not None else numerov_oracle(bvp, 400_000).at(xm)
+        fine = numerov_oracle(bvp, 100_000)
+        linear = np.interp(xm, fine.x, fine.y)
+        assert cli._rel_l2_scaled(reference(xm), truth) <= cli._rel_l2_scaled(linear, truth)
 
 
 class TestScanEnergy:
@@ -377,6 +445,7 @@ _BAD_LEAVES = [
     ("problem", "E_range", [-0.3, -0.7]),
     ("problem", "n_steps", 2),
     ("problem", "y_a", 1.0),
+    ("problem", "epsilon", 5e-324),
     ("output", "export_points", 1),
     ("output", "formats", ["csv"]),
 ]
@@ -469,6 +538,10 @@ class TestExitCodeProperties:
                 if "report.json" in _ARTIFACTS[command]:
                     with open(out / "report.json") as fh:
                         _assert_finite_numbers(json.load(fh, parse_constant=_reject_constant))
+                if command == "solve":
+                    for name in ("solution.csv", "residual.csv"):
+                        _, rows = read_csv(out / name)
+                        assert all(math.isfinite(float(c)) for r in rows for c in r), name
                 if command == "scan-energy":
                     _, rows = read_csv(out / "scan.csv")
                     assert all(math.isfinite(float(r[1])) for r in rows if r[2] == "ok")
