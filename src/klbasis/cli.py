@@ -214,8 +214,8 @@ def validate_config(doc: dict, overrides: dict | None = None) -> RunConfig:
         raise ConfigError("problem requires a < b")
     if prob["a"] < samp["a"] or prob["b"] > samp["b"]:
         raise ConfigError(
-            "problem domain must lie within the sampling domain; "
-            "the basis cannot be evaluated outside it"
+            f"problem domain [a, b] = [{prob['a']}, {prob['b']}] must lie within the sampling "
+            f"domain [{samp['a']}, {samp['b']}]; the basis cannot be evaluated outside it"
         )
     return RunConfig(**cfg)
 

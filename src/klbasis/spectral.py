@@ -34,6 +34,7 @@ __all__ = [
 _SINGULAR_GATE = 1e-14
 _BOUNDARY_WEIGHT = 1e6
 _BOUNDARY_TOL = 1e-8
+_NOT_FINITE = "the collocation matrix is not finite"  # LAPACK would raise LinAlgError
 
 
 @dataclass(frozen=True)
@@ -51,22 +52,27 @@ class _Tabulation:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return cls(basis.eval(x), basis.deriv(x, order=2), bvp.potential(x))
 
-    def operator(self, energy: float) -> np.ndarray:
-        """Rows -phi''/2 + (V - E) phi, one per point."""
-        return -0.5 * self.second + (self.potential - energy)[:, None] * self.values
+    def operator(self, energy) -> np.ndarray:
+        """Rows -phi''/2 + (V - E) phi, one per point; (K, points, M) for K energies."""
+        shift = self.potential - np.asarray(energy)[..., None]
+        return -0.5 * self.second + shift[..., None] * self.values
 
-    def defect(self, coefficients: np.ndarray, energy: float) -> tuple[np.ndarray, np.ndarray]:
-        """The defect -y''/2 + (V - E) y of y = phi c at the points, and y."""
-        y = self.values @ coefficients
-        return -0.5 * (self.second @ coefficients) + (self.potential - energy) * y, y
+    def defect(self, coefficients: np.ndarray, energy) -> tuple[np.ndarray, np.ndarray]:
+        """The defect -y''/2 + (V - E) y of y = phi c at the points, and y.
+        For (K, M) coefficients, (K, points) stacks of mat-vec products, which
+        keep the bits of K single calls (a (points, M) @ (M, K) gemm would not)."""
+        c = np.asarray(coefficients)[..., None]
+        y = (self.values @ c)[..., 0]
+        shift = self.potential - np.asarray(energy)[..., None]
+        return -0.5 * (self.second @ c)[..., 0] + shift * y, y
 
-    def relative_norm(self, coefficients: np.ndarray, energy: float) -> float:
-        """RMS of the defect over the RMS of y; the plain RMS defect when
-        y is zero."""
+    def relative_norm(self, coefficients: np.ndarray, energy) -> np.ndarray:
+        """RMS of the defect over the RMS of y, per row; the plain RMS
+        defect where y is zero."""
         res, y = self.defect(coefficients, energy)
-        res_rms = float(np.sqrt(np.mean(res * res)))
-        y_rms = float(np.sqrt(np.mean(y * y)))
-        return res_rms / y_rms if y_rms > 0.0 else res_rms
+        res_rms = np.sqrt(np.mean(res * res, axis=-1))
+        y_rms = np.sqrt(np.mean(y * y, axis=-1))
+        return np.divide(res_rms, y_rms, out=np.array(res_rms), where=y_rms > 0.0)
 
 
 @dataclass(frozen=True)
@@ -189,8 +195,9 @@ def solve(problem: CollocationProblem) -> SpectralSolution:
     """Solve the collocation system for the coefficients.
 
     The basis matrices were built with the problem; per call only the
-    (V - E) diagonal is assembled, the system solved and the boundary
-    values checked against the problem's boundary rows.
+    (V - E) diagonal is assembled and the singular values taken. The solve
+    and the check of the boundary values against the problem's boundary
+    rows are the per-matrix step that `energy_scan` shares.
 
     A square system goes through a direct partial-pivoting solve. An
     overdetermined one is solved in the least-squares sense with the two
@@ -206,22 +213,29 @@ def solve(problem: CollocationProblem) -> SpectralSolution:
     of the solved matrix, ignoring singular values under the 1e-14 gate.
     """
     system = assemble(problem)
-    A, rhs = system.matrix, system.rhs
+    A = system.matrix
+    if not np.isfinite(A).all():
+        raise NumericalError(_NOT_FINITE)
+    sv = np.linalg.svd(A, compute_uv=False)
+    coeffs, cond, method = _solve_matrix(problem, A, system.rhs, sv)
+    return SpectralSolution(coeffs, cond, problem, method)
+
+
+def _solve_matrix(
+    problem: CollocationProblem, A: np.ndarray, rhs: np.ndarray, sv: np.ndarray
+) -> tuple[np.ndarray, float, str]:
+    """Coefficients, condition estimate and method for one finite matrix A
+    with singular values sv; `NumericalError` if the solution misses the
+    boundary values y_a, y_f of the problem (whose E is not read)."""
     n_rows, m = A.shape
     bvp = problem.bvp
-
-    if not np.isfinite(A).all():
-        # LAPACK's svd and lstsq fail on such a matrix with a LinAlgError
-        raise NumericalError("the collocation matrix is not finite")
-    sv = np.linalg.svd(A, compute_uv=False)
-    square = n_rows == m
-    if square and sv[-1] >= _SINGULAR_GATE * sv[0]:
+    if n_rows == m and sv[-1] >= _SINGULAR_GATE * sv[0]:
         coeffs = np.linalg.solve(A, rhs)
         cond = float(sv[0] / sv[-1])
         method = "direct"
     else:
         weight = _BOUNDARY_WEIGHT * (
-            np.max(np.linalg.norm(A[:-2], axis=1)) if system.n_interior else 1.0
+            np.max(np.linalg.norm(A[:-2], axis=1)) if n_rows > 2 else 1.0
         )
         Aw = A.copy()
         rw = rhs.copy()
@@ -232,12 +246,6 @@ def solve(problem: CollocationProblem) -> SpectralSolution:
         cond = float(svw[0] / kept[-1])
         method = "least-squares"
 
-    sol = SpectralSolution(
-        coefficients=coeffs,
-        condition_estimate=cond,
-        problem=problem,
-        method=method,
-    )
     tol = _BOUNDARY_TOL * max(1.0, abs(bvp.y_f))
     y_a, y_b = problem._boundary @ coeffs
     if abs(y_a - bvp.y_a) > tol or abs(y_b - bvp.y_f) > tol:
@@ -245,7 +253,7 @@ def solve(problem: CollocationProblem) -> SpectralSolution:
             f"boundary conditions not met; the collocation matrix is "
             f"numerically singular as posed (sigma_min/sigma_max = {sv[-1] / sv[0]:.2e})"
         )
-    return sol
+    return coeffs, cond, method
 
 
 def residual(sol: SpectralSolution, eval_points) -> np.ndarray:
@@ -267,7 +275,7 @@ def relative_residual_norm(sol: SpectralSolution, eval_points) -> float:
     """
     bvp = sol.problem.bvp
     tab = _Tabulation.at(bvp, sol.problem.basis, eval_points)
-    return tab.relative_norm(sol.coefficients, bvp.E)
+    return float(tab.relative_norm(sol.coefficients, bvp.E))
 
 
 @dataclass(frozen=True)
@@ -299,9 +307,11 @@ def energy_scan(
 
     The basis is evaluated once per scan, not per energy: the collocation
     problem and the dense grid's basis values, second derivatives and
-    potential are built before the loop. Each energy runs `solve` on the
-    problem at that energy and forms the norm from the dense matrices
-    times the coefficients; a failed solve marks its row 'failed: <reason>'.
+    potential are built first. The K matrices are one (K, rows, M) stack,
+    gated by one stacked SVD of the finite ones, and the K norms one stack
+    of mat-vec products; per energy only `solve`'s per-matrix step (the
+    solve and the boundary check) remains. A non-finite matrix or a failed
+    solve marks its row 'failed: <reason>'.
 
     The discrete minimum is refined by the vertex of the parabola through
     it and its neighbors; a minimum on the scan edge is reported with
@@ -314,15 +324,23 @@ def energy_scan(
     energies = np.linspace(e_lo, e_hi, n_steps)
     problem = make_collocation_problem(bvp, basis)
     dense = _Tabulation.at(bvp, basis, _scan_grid(bvp))
-    norms = np.full(n_steps, np.nan)
+    boundary = np.broadcast_to(problem._boundary, (n_steps,) + problem._boundary.shape)
+    stack = np.concatenate([problem._interior.operator(energies), boundary], axis=1)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    sv = np.full((n_steps, min(stack.shape[1:])), np.nan)
+    sv[finite] = np.linalg.svd(stack[finite], compute_uv=False)
+    rhs = assemble(problem).rhs
+    coeffs = np.full((n_steps, problem.n_modes), np.nan)
     statuses: list[str] = []
-    for k, e in enumerate(energies):
+    for k in range(n_steps):
         try:
-            sol = solve(problem.at_energy(e))
-            norms[k] = dense.relative_norm(sol.coefficients, e)
+            if not finite[k]:
+                raise NumericalError(_NOT_FINITE)
+            coeffs[k] = _solve_matrix(problem, stack[k], rhs, sv[k])[0]
             statuses.append("ok")
         except NumericalError as err:
             statuses.append(f"failed: {err}")
+    norms = dense.relative_norm(coeffs, energies)
     ok = np.isfinite(norms)
     if not np.any(ok):
         raise NumericalError("no scan point solved successfully")

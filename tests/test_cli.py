@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -545,3 +546,21 @@ class TestExitCodeProperties:
                 if command == "scan-energy":
                     _, rows = read_csv(out / "scan.csv")
                     assert all(math.isfinite(float(r[1])) for r in rows if r[2] == "ok")
+
+    # the derandomized property test draws only some of the leaves
+    @pytest.mark.parametrize("command", ["solve", "scan-energy"])
+    @pytest.mark.parametrize("leaf", _BAD_LEAVES, ids=lambda leaf: f"{leaf[0]}.{leaf[1]}")
+    def test_every_bad_leaf_over_the_defaults(self, tmp_path, capsys, leaf, command):
+        section, key, value = leaf
+        path = write_config(tmp_path, {section: {key: value}})
+        out = tmp_path / "out"
+        code = run([command, "--config", str(path), "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        if leaf == ("problem", "y_a", 1.0):
+            # valid, but the default rR basis vanishes at a = 0
+            assert code == 2
+            assert err.startswith("numerical error: ")
+        else:
+            assert code == 1
+            assert re.match(rf"config error: .*\b{key}\b", err), err
+        assert not out.exists()

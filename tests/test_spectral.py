@@ -51,6 +51,13 @@ FAILING_ROWS = {
 }
 
 
+SCAN_CASES = pytest.mark.parametrize(
+    "overrides, e_lo, e_hi, n_failed",
+    [({}, -0.7, -0.3, 0), (EXCITED_2P, -0.2, -0.05, 0), (FAILING_ROWS, -0.7, -0.3, 35)],
+    ids=["1s", "2p", "failing-rows"],
+)
+
+
 class TestAssemble:
     def test_exact_eigenfunction_annihilates_interior_rows(self):
         _, funcs = eigenmode_basis()
@@ -80,6 +87,14 @@ class TestAssemble:
         A2 = assemble(make_collocation_problem(shifted, funcs, interior_points=pts)).matrix
         expected = -delta * funcs.eval(pts)
         assert np.allclose(A2[:-2] - A1[:-2], expected, rtol=0, atol=1e-14)
+
+    def test_stacked_operator_rows_match_assemble(self, reproduction_funcs8, reproduction_bvp):
+        problem = make_collocation_problem(reproduction_bvp, reproduction_funcs8)
+        energies = np.linspace(-0.7, -0.3, 41)
+        stack = problem._interior.operator(energies)
+        assert stack.shape == (41, problem.interior_points.size, problem.n_modes)
+        for e, rows in zip(energies, stack):
+            assert np.array_equal(rows, assemble(problem.at_energy(e)).matrix[:-2])
 
     def test_under_determined_rejected(self):
         _, funcs = eigenmode_basis(
@@ -236,11 +251,7 @@ class TestResidualNormAndMonotonicity:
 
 
 class TestEnergyScan:
-    @pytest.mark.parametrize(
-        "overrides, e_lo, e_hi, n_failed",
-        [({}, -0.7, -0.3, 0), (EXCITED_2P, -0.2, -0.05, 0), (FAILING_ROWS, -0.7, -0.3, 35)],
-        ids=["1s", "2p", "failing-rows"],
-    )
+    @SCAN_CASES
     def test_matches_per_energy_solve(self, overrides, e_lo, e_hi, n_failed):
         bvp, basis = pipeline_case(overrides)
         scan = energy_scan(bvp, basis, e_lo, e_hi, 41)
@@ -256,6 +267,38 @@ class TestEnergyScan:
             expected = relative_residual_norm(sol, dense)
             assert abs(norm - expected) <= 1e-12 * expected
         assert sum(s.startswith("failed:") for s in scan.statuses) == n_failed
+
+    @SCAN_CASES
+    def test_bit_identical_to_per_energy_solve(self, overrides, e_lo, e_hi, n_failed):
+        bvp, basis = pipeline_case(overrides)
+        scan = energy_scan(bvp, basis, e_lo, e_hi, 41)
+        dense = spectral._scan_grid(bvp)
+        expected_norms, expected_statuses = [], []
+        for e in scan.energies:
+            try:
+                sol = solve(make_collocation_problem(replace(bvp, E=e), basis))
+            except NumericalError as err:
+                expected_norms.append(np.nan)
+                expected_statuses.append(f"failed: {err}")
+                continue
+            expected_norms.append(relative_residual_norm(sol, dense))
+            expected_statuses.append("ok")
+        assert scan.statuses == tuple(expected_statuses)
+        assert np.array_equal(scan.residual_norms, expected_norms, equal_nan=True)
+
+    def test_one_svd_per_scan(self, monkeypatch, reproduction_funcs8, reproduction_bvp):
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        for n_steps in (5, 41):
+            calls.clear()
+            energy_scan(reproduction_bvp, reproduction_funcs8, -0.7, -0.3, n_steps)
+            assert len(calls) == 1
 
     def test_basis_evaluated_once_per_scan(
         self, monkeypatch, reproduction_funcs8, reproduction_bvp
@@ -293,14 +336,16 @@ class TestEnergyScan:
     def test_failures_marked_not_fatal(
         self, monkeypatch, reproduction_funcs8, reproduction_bvp
     ):
-        original = spectral.solve
+        # the scan solves each energy in the per-matrix step it shares
+        # with `solve`; fail it on the matrix at E = -0.5
+        original = spectral._solve_matrix
 
-        def flaky(problem):
-            if abs(problem.bvp.E + 0.5) < 1e-9:
+        def flaky(problem, A, rhs, sv):
+            if np.array_equal(A[:-2], problem._interior.operator(-0.5)):
                 raise NumericalError("forced failure")
-            return original(problem)
+            return original(problem, A, rhs, sv)
 
-        monkeypatch.setattr(spectral, "solve", flaky)
+        monkeypatch.setattr(spectral, "_solve_matrix", flaky)
         scan = energy_scan(reproduction_bvp, reproduction_funcs8, -0.52, -0.48, 5)
         assert scan.statuses[2].startswith("failed:")
         assert np.isnan(scan.residual_norms[2])
