@@ -8,6 +8,7 @@ from .hydrogenic import (
     NumerovSolution,
     OrbitalSpec,
     RadialFamily,
+    family_values,
     laguerre,
     make_family,
     numerov_oracle,

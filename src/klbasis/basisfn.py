@@ -31,14 +31,10 @@ def barycentric_weights(nodes: np.ndarray) -> np.ndarray:
     differences rescaled by 4/(b - a) so the products stay in range for
     larger node counts."""
     nodes = np.asarray(nodes, dtype=float)
-    n = nodes.size
     scale = 4.0 / (nodes[-1] - nodes[0])
-    w = np.ones(n)
-    for j in range(n):
-        diffs = (nodes[j] - nodes) * scale
-        diffs[j] = 1.0
-        w[j] = 1.0 / np.prod(diffs)
-    return w
+    diffs = (nodes[:, None] - nodes[None, :]) * scale
+    np.fill_diagonal(diffs, 1.0)
+    return 1.0 / np.prod(diffs, axis=1)
 
 
 def differentiation_matrix(nodes: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:

@@ -30,6 +30,7 @@ __all__ = [
     "BoundaryValueProblem",
     "NumerovSolution",
     "laguerre",
+    "family_values",
     "radial_wavefunction",
     "radial_norm",
     "make_family",
@@ -53,6 +54,16 @@ class OrbitalSpec:
             raise ValueError(f"need 0 <= l < n, got l={self.l}, n={self.n}")
         if not self.Z > 0:
             raise ValueError(f"nuclear charge must be positive, got Z={self.Z}")
+
+    @property
+    def log_norm(self) -> float:
+        """log N of the closed form; in log space because the factorials
+        overflow a double from n = 171."""
+        n, l, Z = self.n, self.l, self.Z
+        return 0.5 * (
+            3.0 * math.log(2.0 * Z / n) + math.lgamma(n - l)
+            - math.log(2.0 * n) - math.lgamma(n + l + 1)
+        )
 
     @property
     def label(self) -> str:
@@ -133,44 +144,77 @@ class BoundaryValueProblem:
         return v if v.ndim else float(v)
 
 
-def laguerre(k: int, alpha: float, x):
+def laguerre(k, alpha, x):
     """Generalized Laguerre polynomial L_k^alpha(x).
 
     Uses the stable three-term recurrence
 
         (i+1) L_{i+1} = (2i + 1 + alpha - x) L_i - (i + alpha) L_{i-1}
 
-    with L_0 = 1 and L_1 = 1 + alpha - x. Accepts scalar or array x.
+    with L_0 = 1 and L_1 = 1 + alpha - x. Accepts scalar or array x; k and
+    alpha may also hold one entry per column (last axis) of x. The columns
+    are sorted by descending degree once, so step i updates only the
+    leading block of columns whose degree exceeds i.
     """
-    if k < 0:
+    degrees = np.asarray(k)
+    if np.any(degrees < 0):
         raise ValueError(f"polynomial degree must be >= 0, got k={k}")
     xa = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xa)):
         raise ValueError("x must be finite")
-    prev = np.zeros_like(xa)
-    cur = np.ones_like(xa)
-    for i in range(k):
-        prev, cur = cur, ((2 * i + 1 + alpha - xa) * cur - (i + alpha) * prev) / (i + 1)
-    return cur if cur.ndim else float(cur)
+    shape = xa.shape or (1,)
+    xs = xa.reshape(math.prod(shape[:-1]), shape[-1]).T  # one row per column of x
+    degrees = np.broadcast_to(degrees, xs.shape[:1])
+    order = np.argsort(-degrees, kind="stable")
+    xs, degrees = np.ascontiguousarray(xs[order]), degrees[order]
+    al = np.broadcast_to(alpha, degrees.shape)[order][:, None]
+    # active[i]: the number of leading rows with degree > i
+    active = np.searchsorted(-degrees, -np.arange(degrees.max(initial=0)))
+    prev, cur = np.zeros_like(xs), np.ones_like(xs)
+    tmp, finished = np.empty_like(xs), np.empty_like(xs)
+    n_active = len(degrees)
+    for i, c in enumerate(active):
+        # rows of degree i hold L_i in cur and take no further steps
+        finished[c:n_active] = cur[c:n_active]
+        n_active = c
+        step = np.subtract(2 * i + 1 + al[:c], xs[:c], out=tmp[:c])
+        step *= cur[:c]
+        step -= np.multiply(i + al[:c], prev[:c], out=prev[:c])
+        np.divide(step, i + 1, out=prev[:c])
+        prev, cur = cur, prev
+    finished[:n_active] = cur[:n_active]
+    out = np.empty_like(finished)
+    out[order] = finished
+    out = np.ascontiguousarray(out.T).reshape(xa.shape)
+    return out if out.ndim else float(out)
 
 
-def radial_wavefunction(orb: OrbitalSpec, r):
-    """Evaluate R_{nl}(r) for r >= 0 (scalar or array, in Bohr radii)."""
+def family_values(family: RadialFamily, r) -> np.ndarray:
+    """R_{nl}(r) for every orbital of the family in one pass (r >= 0, scalar
+    or array, in Bohr radii): a C-ordered r.shape + (family.count,) array,
+    one column per orbital in family order."""
     ra = np.asarray(r, dtype=float)
     if not np.all(np.isfinite(ra)):
         raise ValueError("r must be finite")
     if np.any(ra < 0):
         raise ValueError("r must be non-negative")
-    n, l, Z = orb.n, orb.l, orb.Z
-    rho = 2.0 * Z * ra / n
-    # N * exp(-rho/2) * rho^l in log space: the factorials overflow a
-    # double from n = 171, and N underflows where rho^l overflows.
-    log_norm = 0.5 * (
-        3.0 * math.log(2.0 * Z / n) + math.lgamma(n - l) - math.log(2.0 * n) - math.lgamma(n + l + 1)
+    n, l, Z, log_norm = (
+        np.array(col) for col in zip(*((o.n, o.l, o.Z, o.log_norm) for o in family.orbitals))
     )
+    rho = 2.0 * Z * ra[..., None] / n
+    # N * exp(-rho/2) * rho^l in log space, since N underflows where
+    # rho^l overflows
     with np.errstate(divide="ignore"):
-        log_envelope = log_norm - rho / 2.0 + (l * np.log(rho) if l else 0.0)
-    vals = np.exp(log_envelope) * laguerre(n - l - 1, 2 * l + 1, rho)
+        # l = 0 columns add 0 * 0.0, not 0 * log(0) = nan at the origin
+        log_rho = np.log(rho, out=np.zeros_like(rho), where=l > 0)
+        log_envelope = log_norm - rho / 2.0 + l * log_rho
+    return np.exp(log_envelope) * laguerre(n - l - 1, 2 * l + 1, rho)
+
+
+def radial_wavefunction(orb: OrbitalSpec, r):
+    """Evaluate R_{nl}(r) for r >= 0 (scalar or array, in Bohr radii): the
+    one-orbital case of `family_values`."""
+    vals = family_values(RadialFamily((orb,)), r)[..., 0]
     return vals if vals.ndim else float(vals)
 
 

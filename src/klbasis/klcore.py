@@ -165,13 +165,10 @@ class EnergyFraction:
 
 def _apply_sign_convention(phi: np.ndarray) -> np.ndarray:
     """Flip columns so each one's largest-magnitude entry is positive,
-    ties broken by the lowest index."""
-    out = phi.copy()
-    for j in range(out.shape[1]):
-        k = int(np.argmax(np.abs(out[:, j])))
-        if out[k, j] < 0:
-            out[:, j] = -out[:, j]
-    return out
+    ties broken by the lowest index. The result is C-ordered: the BLAS
+    products downstream round differently on an F-ordered matrix."""
+    peaks = phi[np.argmax(np.abs(phi), axis=0), np.arange(phi.shape[1])]
+    return np.multiply(phi, np.where(peaks < 0, -1.0, 1.0), order="C")
 
 
 def eig_sym(K: CovarianceMatrix, grid: Grid | None = None) -> KLBasis:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import csvio
-from .hydrogenic import RadialFamily, radial_wavefunction
+from .hydrogenic import RadialFamily, family_values
 
 __all__ = [
     "GridKind",
@@ -105,19 +105,16 @@ def build_sample_matrix(
     grid: Grid,
     representation: Representation = Representation.RR,
 ) -> SampleMatrix:
-    """Sample every orbital of the family on the grid.
+    """Sample every orbital of the family on the grid, the whole family in
+    one pass.
 
     Representation R stores R_{nl}(x_i); rR stores x_i * R_{nl}(x_i), the
     reduced radial form that vanishes at the origin.
     """
     representation = Representation(representation)
-    cols = []
-    for orb in family.orbitals:
-        col = radial_wavefunction(orb, grid.points)
-        if representation is Representation.RR:
-            col = grid.points * col
-        cols.append(col)
-    values = np.column_stack(cols)
+    values = family_values(family, grid.points)
+    if representation is Representation.RR:
+        values = grid.points[:, None] * values
     return SampleMatrix(values=values, grid=grid, family=family, representation=representation)
 
 

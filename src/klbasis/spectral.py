@@ -217,16 +217,25 @@ def solve(problem: CollocationProblem) -> SpectralSolution:
     if not np.isfinite(A).all():
         raise NumericalError(_NOT_FINITE)
     sv = np.linalg.svd(A, compute_uv=False)
-    coeffs, cond, method = _solve_matrix(problem, A, system.rhs, sv)
+    coeffs, cond, method = _solve_matrix(problem, A, system.rhs, sv, _row_scale(A))
     return SpectralSolution(coeffs, cond, problem, method)
 
 
+def _row_scale(A: np.ndarray) -> np.ndarray:
+    """The largest interior row norm of each matrix in A (..., rows, M),
+    whose last two rows are the boundary rows; 1.0 without interior rows."""
+    if A.shape[-2] <= 2:
+        return np.ones(A.shape[:-2])
+    return np.max(np.linalg.norm(A[..., :-2, :], axis=-1), axis=-1)
+
+
 def _solve_matrix(
-    problem: CollocationProblem, A: np.ndarray, rhs: np.ndarray, sv: np.ndarray
+    problem: CollocationProblem, A: np.ndarray, rhs: np.ndarray, sv: np.ndarray, row_scale: float
 ) -> tuple[np.ndarray, float, str]:
     """Coefficients, condition estimate and method for one finite matrix A
-    with singular values sv; `NumericalError` if the solution misses the
-    boundary values y_a, y_f of the problem (whose E is not read)."""
+    with singular values sv and largest interior row norm row_scale;
+    `NumericalError` if the solution misses the boundary values y_a, y_f
+    of the problem (whose E is not read)."""
     n_rows, m = A.shape
     bvp = problem.bvp
     if n_rows == m and sv[-1] >= _SINGULAR_GATE * sv[0]:
@@ -234,9 +243,7 @@ def _solve_matrix(
         cond = float(sv[0] / sv[-1])
         method = "direct"
     else:
-        weight = _BOUNDARY_WEIGHT * (
-            np.max(np.linalg.norm(A[:-2], axis=1)) if n_rows > 2 else 1.0
-        )
+        weight = _BOUNDARY_WEIGHT * row_scale
         Aw = A.copy()
         rw = rhs.copy()
         Aw[-2:] *= weight
@@ -308,8 +315,9 @@ def energy_scan(
     The basis is evaluated once per scan, not per energy: the collocation
     problem and the dense grid's basis values, second derivatives and
     potential are built first. The K matrices are one (K, rows, M) stack,
-    gated by one stacked SVD of the finite ones, and the K norms one stack
-    of mat-vec products; per energy only `solve`'s per-matrix step (the
+    gated by one stacked SVD of the finite ones; their boundary-row weights
+    come from one stack of row norms, and the K residual norms from one
+    stack of mat-vec products. Per energy only `solve`'s per-matrix step (the
     solve and the boundary check) remains. A non-finite matrix or a failed
     solve marks its row 'failed: <reason>'.
 
@@ -328,7 +336,10 @@ def energy_scan(
     stack = np.concatenate([problem._interior.operator(energies), boundary], axis=1)
     finite = np.isfinite(stack).all(axis=(1, 2))
     sv = np.full((n_steps, min(stack.shape[1:])), np.nan)
-    sv[finite] = np.linalg.svd(stack[finite], compute_uv=False)
+    solvable = stack[finite]
+    sv[finite] = np.linalg.svd(solvable, compute_uv=False)
+    row_scale = np.full(n_steps, np.nan)
+    row_scale[finite] = _row_scale(solvable)
     rhs = assemble(problem).rhs
     coeffs = np.full((n_steps, problem.n_modes), np.nan)
     statuses: list[str] = []
@@ -336,7 +347,7 @@ def energy_scan(
         try:
             if not finite[k]:
                 raise NumericalError(_NOT_FINITE)
-            coeffs[k] = _solve_matrix(problem, stack[k], rhs, sv[k])[0]
+            coeffs[k] = _solve_matrix(problem, stack[k], rhs, sv[k], row_scale[k])[0]
             statuses.append("ok")
         except NumericalError as err:
             statuses.append(f"failed: {err}")

@@ -170,3 +170,21 @@ class TestInterpolateAndTabulate:
         w = barycentric_weights(nodes)
         assert np.all(np.isfinite(w))
         assert np.all(w != 0.0)
+
+
+def _loop_weights(nodes):
+    """Barycentric weights one node at a time, as the per-node loop did."""
+    scale = 4.0 / (nodes[-1] - nodes[0])
+    w = np.ones(nodes.size)
+    for j in range(nodes.size):
+        diffs = (nodes[j] - nodes) * scale
+        diffs[j] = 1.0
+        w[j] = 1.0 / np.prod(diffs)
+    return w
+
+
+@pytest.mark.parametrize("n", [2, 3, 20, 80, 300])
+@pytest.mark.parametrize("kind", list(GridKind))
+def test_weights_bit_identical_to_per_node_loop(kind, n):
+    nodes = make_grid(kind, n, 0.0, 40.0).points
+    assert np.array_equal(barycentric_weights(nodes), _loop_weights(nodes))

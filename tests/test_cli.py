@@ -228,6 +228,15 @@ class TestSolve:
         assert hdr == ["x", "y_numeric", "y_reference", "residual"]
         assert len(rows) == 201
 
+    def test_many_orbital_family(self, tmp_path):
+        # n_max = 200 samples 20,100 orbitals, up to n = 200 where the
+        # normalization factorials overflow a double; the value is the one
+        # the per-orbital sampler gave
+        cfg = write_config(tmp_path, {"family": {"n_max": 200}})
+        out = tmp_path / "out"
+        assert run(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        assert read_json(out / "report.json")["rel_l2_error_mid"] == 0.04904603824761954
+
     def test_zero_boundary_solution(self, tmp_path):
         cfg = write_config(tmp_path, {"problem": {"y_f": 0.0}})
         out = tmp_path / "out"

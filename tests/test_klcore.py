@@ -255,3 +255,37 @@ class TestSerialization:
         assert np.array_equal(
             np.array(again["eigenvalues"]), reproduction_pipeline["basis"].eigenvalues
         )
+
+
+def _loop_sign_convention(phi):
+    """Column signs fixed one column at a time, as the per-column loop did."""
+    out = phi.copy()
+    for j in range(out.shape[1]):
+        k = int(np.argmax(np.abs(out[:, j])))
+        if out[k, j] < 0:
+            out[:, j] = -out[:, j]
+    return out
+
+
+class TestSignConvention:
+    @pytest.mark.parametrize("n", [1, 2, 12, 80])
+    def test_bit_identical_to_per_column_loop(self, n):
+        lam, V = np.linalg.eigh(random_psd(n, n).K)
+        phi = V[:, np.argsort(-lam, kind="stable")]
+        ours = klcore._apply_sign_convention(phi)
+        assert np.array_equal(ours, _loop_sign_convention(phi))
+        assert np.array_equal(np.signbit(ours), np.signbit(_loop_sign_convention(phi)))
+        assert ours.flags.c_contiguous
+
+    def test_ties_and_zeros(self):
+        phi = np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.5, -0.0]])
+        ours = klcore._apply_sign_convention(np.asfortranarray(phi))
+        assert np.array_equal(ours, _loop_sign_convention(phi))
+        assert np.array_equal(np.signbit(ours), np.signbit(_loop_sign_convention(phi)))
+        assert ours.flags.c_contiguous
+
+    def test_eig_sym_vectors_c_ordered(self, reproduction_pipeline):
+        # the covariance and projection products round differently on an
+        # F-ordered eigenvector matrix
+        assert reproduction_pipeline["basis"].vectors.flags.c_contiguous
+        assert eig_sym(random_psd(12, 0)).vectors.flags.c_contiguous

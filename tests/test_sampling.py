@@ -1,10 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from klbasis.csvio import read_csv, write_text
-from klbasis.hydrogenic import OrbitalSpec, RadialFamily, make_family
+from klbasis.hydrogenic import (
+    OrbitalSpec,
+    RadialFamily,
+    family_values,
+    make_family,
+    radial_wavefunction,
+)
 from klbasis.sampling import (
     Grid,
     GridKind,
@@ -102,3 +110,79 @@ class TestSampleMatrix:
         # 17 significant digits round-trip exactly
         back = np.array([[float(c) for c in row[1:]] for row in rows])
         assert np.array_equal(back, sample.values)
+
+
+def _loop_laguerre(k, alpha, x):
+    """The scalar-degree three-term recurrence, one orbital at a time."""
+    prev = np.zeros_like(x)
+    cur = np.ones_like(x)
+    for i in range(k):
+        prev, cur = cur, ((2 * i + 1 + alpha - x) * cur - (i + alpha) * prev) / (i + 1)
+    return cur
+
+
+def _loop_radial(orb, r):
+    """R_{nl}(r) evaluated for one orbital, as the per-orbital loop did."""
+    n, l, Z = orb.n, orb.l, orb.Z
+    rho = 2.0 * Z * r / n
+    log_norm = 0.5 * (
+        3.0 * math.log(2.0 * Z / n) + math.lgamma(n - l) - math.log(2.0 * n) - math.lgamma(n + l + 1)
+    )
+    with np.errstate(divide="ignore"):
+        log_envelope = log_norm - rho / 2.0 + (l * np.log(rho) if l else 0.0)
+    return np.exp(log_envelope) * _loop_laguerre(n - l - 1, 2 * l + 1, rho)
+
+
+class TestFamilyPass:
+    """The one-pass family evaluation keeps every bit of the per-orbital
+    loop it replaced, and the C order the covariance products depend on."""
+
+    @pytest.mark.parametrize(
+        "n_max, Z, kind, n_s, b",
+        [
+            (7, 1.0, GridKind.UNIFORM, 20, 40.0),
+            (10, 1.0, GridKind.CHEBYSHEV_LOBATTO, 80, 80.0),
+            (30, 1.0, GridKind.CHEBYSHEV_LOBATTO, 300, 1800.0),
+            (7, 2.0, GridKind.UNIFORM, 20, 40.0),
+        ],
+        ids=["default", "wide", "n_max-30", "Z-2"],
+    )
+    def test_bit_identical_to_per_orbital_loop(self, n_max, Z, kind, n_s, b):
+        family = make_family(n_max, Z)
+        grid = make_grid(kind, n_s, 0.0, b)
+        x = grid.points
+        columns = [_loop_radial(orb, x) for orb in family.orbitals]
+        expected = {
+            Representation.R: np.column_stack(columns),
+            Representation.RR: np.column_stack([x * col for col in columns]),
+        }
+        for rep, want in expected.items():
+            values = build_sample_matrix(family, grid, rep).values
+            assert values.flags.c_contiguous
+            assert np.array_equal(values, want)
+        for orb, col in zip(family.orbitals, columns):
+            assert np.array_equal(radial_wavefunction(orb, x), col)
+
+    def test_scalar_radius(self):
+        family = make_family(3)
+        vals = family_values(family, 1.5)
+        assert vals.shape == (family.count,)
+        for orb, v in zip(family.orbitals, vals):
+            assert v == _loop_radial(orb, np.asarray(1.5))
+            assert radial_wavefunction(orb, 1.5) == v
+
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            ([0.0, np.nan, 1.0], "r must be finite"),
+            ([0.0, 1.0, np.inf], "r must be finite"),
+            ([-1.0, 0.0, 1.0], "r must be non-negative"),
+        ],
+    )
+    def test_bad_grid_point_rejected(self, points, message):
+        pts = np.array(points)
+        grid = Grid(kind=GridKind.UNIFORM, points=pts, a=pts[0], b=pts[-1])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_sample_matrix(make_family(3), grid)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            radial_wavefunction(OrbitalSpec(2, 1), pts)
