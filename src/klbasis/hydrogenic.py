@@ -218,21 +218,21 @@ def radial_wavefunction(orb: OrbitalSpec, r):
     return vals if vals.ndim else float(vals)
 
 
-def radial_norm(orb: OrbitalSpec, n_gauss: int = 16) -> float:
+def radial_norm(orb: OrbitalSpec) -> float:
     """Quadrature of R^2 r^2 over [0, max(40n, 4n^2)/Z] by composite
-    Gauss-Legendre panels of width n/(4Z). The outer classical turning
-    point lies at most at 2n^2/Z, and the tail past twice that is
+    16-point Gauss-Legendre panels of width n/(4Z). The outer classical
+    turning point lies at most at 2n^2/Z, and the tail past twice that is
     negligible; up to n = 10 the range is 40n/Z, where the integrand is
     below 1e-30 at the end.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(n_gauss)
+    nodes, weights = np.polynomial.legendre.leggauss(16)
     width = orb.n / (4.0 * orb.Z)
     panels = max(160, 16 * orb.n)
     edges = np.arange(panels + 1) * width
     mids = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * width
     pts = (mids[:, None] + half * nodes[None, :]).ravel()
-    wts = np.broadcast_to(half * weights, (panels, n_gauss)).ravel()
+    wts = np.broadcast_to(half * weights, (panels, nodes.size)).ravel()
     rr = radial_wavefunction(orb, pts)
     return float(np.sum(wts * rr * rr * pts * pts))
 

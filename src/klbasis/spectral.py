@@ -8,8 +8,7 @@ values close the system.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,6 +34,8 @@ _SINGULAR_GATE = 1e-14
 _BOUNDARY_WEIGHT = 1e6
 _BOUNDARY_TOL = 1e-8
 _NOT_FINITE = "the collocation matrix is not finite"  # LAPACK would raise LinAlgError
+_WEIGHT_NOT_FINITE = "the collocation row norms overflow"  # so would the weighted solve
+_SCAN_POINTS = 201
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,7 @@ class CollocationProblem:
     """A boundary-value problem, the basis to expand in, and the interior
     points where the equation is imposed (the boundary rows are implied).
     Construction tabulates the basis at the interior points and at a and
-    b; none of it depends on E, which `at_energy` changes."""
+    b; none of it depends on E."""
 
     bvp: BoundaryValueProblem
     basis: BasisFunction
@@ -112,12 +113,6 @@ class CollocationProblem:
     @property
     def n_modes(self) -> int:
         return self.basis.samples.shape[1]
-
-    def at_energy(self, energy: float) -> CollocationProblem:
-        """The same problem at another energy, sharing the tabulated basis."""
-        other = copy.copy(self)
-        object.__setattr__(other, "bvp", replace(self.bvp, E=energy))
-        return other
 
 
 def default_collocation_points(bvp: BoundaryValueProblem, basis: BasisFunction) -> np.ndarray:
@@ -154,7 +149,15 @@ class AssembledSystem:
 
     matrix: np.ndarray
     rhs: np.ndarray
-    n_interior: int
+
+
+def _stack(problem: CollocationProblem, energies) -> tuple[np.ndarray, np.ndarray]:
+    """`assemble`'s matrix at K energies as one (K, rows, M) stack, and its rhs."""
+    interior = problem._interior.operator(energies)
+    boundary = np.broadcast_to(problem._boundary, interior.shape[:1] + problem._boundary.shape)
+    rhs = np.zeros(interior.shape[1] + 2)
+    rhs[-2:] = problem.bvp.y_a, problem.bvp.y_f
+    return np.concatenate([interior, boundary], axis=1), rhs
 
 
 def assemble(problem: CollocationProblem) -> AssembledSystem:
@@ -164,15 +167,10 @@ def assemble(problem: CollocationProblem) -> AssembledSystem:
 
     with V the regularized potential; then one row per boundary condition
     pinning y(a) = y_a and y(b) = y_f. Only the (V - E) diagonal is formed
-    here; the basis matrices come from the problem.
+    per call: the one-energy case of the stack `solve` and the scan build.
     """
-    bvp = problem.bvp
-    n_interior = problem.interior_points.size
-    A = np.vstack([problem._interior.operator(bvp.E), problem._boundary])
-    rhs = np.zeros(n_interior + 2)
-    rhs[-2] = bvp.y_a
-    rhs[-1] = bvp.y_f
-    return AssembledSystem(matrix=A, rhs=rhs, n_interior=n_interior)
+    stack, rhs = _stack(problem, [problem.bvp.E])
+    return AssembledSystem(matrix=stack[0], rhs=rhs)
 
 
 @dataclass(frozen=True)
@@ -194,10 +192,9 @@ class SpectralSolution:
 def solve(problem: CollocationProblem) -> SpectralSolution:
     """Solve the collocation system for the coefficients.
 
-    The basis matrices were built with the problem; per call only the
-    (V - E) diagonal is assembled and the singular values taken. The solve
-    and the check of the boundary values against the problem's boundary
-    rows are the per-matrix step that `energy_scan` shares.
+    The one-energy case of `energy_scan`'s stacked path: per call only the
+    (V - E) diagonal is formed, the matrix gated by its singular values,
+    solved, and its boundary values checked against the problem's.
 
     A square system goes through a direct partial-pivoting solve. An
     overdetermined one is solved in the least-squares sense with the two
@@ -212,21 +209,36 @@ def solve(problem: CollocationProblem) -> SpectralSolution:
     The condition estimate is the ratio of the extreme singular values
     of the solved matrix, ignoring singular values under the 1e-14 gate.
     """
-    system = assemble(problem)
-    A = system.matrix
-    if not np.isfinite(A).all():
-        raise NumericalError(_NOT_FINITE)
-    sv = np.linalg.svd(A, compute_uv=False)
-    coeffs, cond, method = _solve_matrix(problem, A, system.rhs, sv, _row_scale(A))
+    result = _solve_stack(problem, [problem.bvp.E])[0]
+    if isinstance(result, NumericalError):
+        raise result
+    coeffs, cond, method = result
     return SpectralSolution(coeffs, cond, problem, method)
 
 
-def _row_scale(A: np.ndarray) -> np.ndarray:
-    """The largest interior row norm of each matrix in A (..., rows, M),
-    whose last two rows are the boundary rows; 1.0 without interior rows."""
-    if A.shape[-2] <= 2:
-        return np.ones(A.shape[:-2])
-    return np.max(np.linalg.norm(A[..., :-2, :], axis=-1), axis=-1)
+def _solve_stack(problem: CollocationProblem, energies) -> list:
+    """Per energy, (coefficients, condition estimate, method) or the
+    `NumericalError` that stopped it. A matrix that is not finite, or whose
+    largest interior row norm (the boundary weight's scale) overflows,
+    fails before LAPACK sees it; one stacked SVD serves the others."""
+    stack, rhs = _stack(problem, energies)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    row_scale = np.ones(len(stack))
+    if stack.shape[1] > 2:
+        with np.errstate(over="ignore"):
+            row_scale = np.linalg.norm(stack[:, :-2], axis=-1).max(axis=-1)
+    solvable = finite & np.isfinite(row_scale)
+    sv = np.full((len(stack), min(stack.shape[1:])), np.nan)
+    sv[solvable] = np.linalg.svd(stack[solvable], compute_uv=False)
+    results = []
+    for k in range(len(stack)):
+        try:
+            if not solvable[k]:
+                raise NumericalError(_WEIGHT_NOT_FINITE if finite[k] else _NOT_FINITE)
+            results.append(_solve_matrix(problem, stack[k], rhs, sv[k], row_scale[k]))
+        except NumericalError as err:
+            results.append(err)
+    return results
 
 
 def _solve_matrix(
@@ -296,9 +308,9 @@ class EnergyScan:
     argmin_status: str
 
 
-def _scan_grid(bvp: BoundaryValueProblem, n: int = 201) -> np.ndarray:
+def _scan_grid(bvp: BoundaryValueProblem) -> np.ndarray:
     span = bvp.b - bvp.a
-    return bvp.a + (np.arange(n) + 0.5) * span / n
+    return bvp.a + (np.arange(_SCAN_POINTS) + 0.5) * span / _SCAN_POINTS
 
 
 def energy_scan(
@@ -314,12 +326,10 @@ def energy_scan(
 
     The basis is evaluated once per scan, not per energy: the collocation
     problem and the dense grid's basis values, second derivatives and
-    potential are built first. The K matrices are one (K, rows, M) stack,
-    gated by one stacked SVD of the finite ones; their boundary-row weights
-    come from one stack of row norms, and the K residual norms from one
-    stack of mat-vec products. Per energy only `solve`'s per-matrix step (the
-    solve and the boundary check) remains. A non-finite matrix or a failed
-    solve marks its row 'failed: <reason>'.
+    potential are built first. The K systems take the stacked path whose
+    one-energy case is `solve`: one (K, rows, M) stack, one SVD and
+    row-norm gate, then the per-matrix solve. The K residual norms are one
+    stack of mat-vec products. A failed solve marks its row 'failed: <reason>'.
 
     The discrete minimum is refined by the vertex of the parabola through
     it and its neighbors; a minimum on the scan edge is reported with
@@ -332,25 +342,14 @@ def energy_scan(
     energies = np.linspace(e_lo, e_hi, n_steps)
     problem = make_collocation_problem(bvp, basis)
     dense = _Tabulation.at(bvp, basis, _scan_grid(bvp))
-    boundary = np.broadcast_to(problem._boundary, (n_steps,) + problem._boundary.shape)
-    stack = np.concatenate([problem._interior.operator(energies), boundary], axis=1)
-    finite = np.isfinite(stack).all(axis=(1, 2))
-    sv = np.full((n_steps, min(stack.shape[1:])), np.nan)
-    solvable = stack[finite]
-    sv[finite] = np.linalg.svd(solvable, compute_uv=False)
-    row_scale = np.full(n_steps, np.nan)
-    row_scale[finite] = _row_scale(solvable)
-    rhs = assemble(problem).rhs
     coeffs = np.full((n_steps, problem.n_modes), np.nan)
     statuses: list[str] = []
-    for k in range(n_steps):
-        try:
-            if not finite[k]:
-                raise NumericalError(_NOT_FINITE)
-            coeffs[k] = _solve_matrix(problem, stack[k], rhs, sv[k], row_scale[k])[0]
+    for k, result in enumerate(_solve_stack(problem, energies)):
+        if isinstance(result, NumericalError):
+            statuses.append(f"failed: {result}")
+        else:
+            coeffs[k] = result[0]
             statuses.append("ok")
-        except NumericalError as err:
-            statuses.append(f"failed: {err}")
     norms = dense.relative_norm(coeffs, energies)
     ok = np.isfinite(norms)
     if not np.any(ok):

@@ -123,9 +123,36 @@ class TestConfig:
         assert "[0.0, 1e-300]" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["solve", "scan-energy", "compare-bases"])
+    def test_domain_too_narrow_to_weight_the_boundary(self, tmp_path, capsys, command):
+        # the derivative samples (about 1/span^2) stay finite, but the
+        # interior row norms that scale the boundary weight overflow
+        cfg = write_config(tmp_path, {"sampling": {"b": 1e-140}, "problem": {"b": 1e-141}})
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run([command, "--config", str(cfg), "--out-dir", str(out)])
+        if command == "compare-bases":
+            assert code == 0
+            _, rows = read_csv(out / "comparison.csv")
+            assert [row[3] for row in rows] == ["nan"] * 3
+        else:
+            assert code == 2
+            assert capsys.readouterr().err.startswith("numerical error: ")
+            assert not out.exists()
+
     def test_readme_block_is_the_defaults(self):
         block = README.read_text().split("```json\n", 1)[1].split("```", 1)[0]
         assert json.loads(block) == cli.DEFAULT_CONFIG
+
+    def test_readme_python_blocks_run(self):
+        # the documented library API must keep working as written
+        blocks = [part.split("```", 1)[0] for part in README.read_text().split("```python\n")[1:]]
+        assert blocks
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for block in blocks:
+                exec(compile(block, str(README), "exec"), {})
 
     @pytest.mark.parametrize("name", [name for name, _, _ in cli._SCHEMA])
     def test_every_key_rejects_an_object(self, tmp_path, monkeypatch, capsys, name):

@@ -94,7 +94,8 @@ class TestAssemble:
         stack = problem._interior.operator(energies)
         assert stack.shape == (41, problem.interior_points.size, problem.n_modes)
         for e, rows in zip(energies, stack):
-            assert np.array_equal(rows, assemble(problem.at_energy(e)).matrix[:-2])
+            at_e = make_collocation_problem(replace(reproduction_bvp, E=e), reproduction_funcs8)
+            assert np.array_equal(rows, assemble(at_e).matrix[:-2])
 
     def test_under_determined_rejected(self):
         _, funcs = eigenmode_basis(
@@ -169,9 +170,9 @@ class TestSolve:
 
     def test_non_finite_matrix_is_a_numerical_error(self, reproduction_funcs8, reproduction_bvp):
         # LAPACK would fail on it with a LinAlgError, which is no NumericalError
-        problem = make_collocation_problem(reproduction_bvp, reproduction_funcs8)
+        problem = make_collocation_problem(replace(reproduction_bvp, E=np.inf), reproduction_funcs8)
         with pytest.raises(NumericalError, match="not finite"):
-            solve(problem.at_energy(np.inf))
+            solve(problem)
 
 
 class TestResidual:
