@@ -10,15 +10,16 @@ Subcommands:
 Configuration is a single JSON document whose keys, defaults and checks
 form one table, `_SCHEMA`; ``--config`` points at it and ``--out-dir`` /
 ``--seed`` override the corresponding entries. Each subcommand returns its
-artifacts and `main` writes them. Exit codes: 0 success, 1 configuration
-error, 2 a classified numerical failure (`NumericalError`); any other
-exception is a defect and propagates.
+artifacts and `main` writes them. Exit codes: 0 success, 1 a usage or
+configuration error, 2 a classified numerical failure (`NumericalError`);
+any other exception is a defect and propagates.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import math
 import sys
@@ -379,9 +380,9 @@ def cmd_solve(config: RunConfig) -> Artifacts:
     }
     return {
         "solution.csv": csvio.csv_text(
-            ["x", "y_numeric", "y_reference", "residual"], zip(xs, y, ref, res)
+            ["x", "y_numeric", "y_reference", "residual"], np.column_stack((xs, y, ref, res))
         ),
-        "residual.csv": csvio.csv_text(["x", "residual"], zip(xs, res)),
+        "residual.csv": csvio.csv_text(["x", "residual"], np.column_stack((xs, res))),
         "report.json": report,
     }
 
@@ -396,7 +397,7 @@ def cmd_scan_energy(config: RunConfig) -> Artifacts:
     scan = spectral.energy_scan(
         bvp, pipe.interpolant, float(e_range[0]), float(e_range[1]), int(config.problem["n_steps"])
     )
-    rows = zip(scan.energies, scan.residual_norms, scan.statuses)
+    rows = zip(scan.energies.tolist(), scan.residual_norms.tolist(), scan.statuses)
     return {
         "scan.csv": csvio.csv_text(["E", "residual_norm", "status"], rows),
         "report.json": {
@@ -451,7 +452,7 @@ def cmd_compare_bases(config: RunConfig) -> Artifacts:
             rel = _rel_l2_scaled(sol.eval(xm), refm)
         except NumericalError:
             rel = None
-        rows.append([name, str(m), mse, "nan" if rel is None else rel])
+        rows.append([name, str(m), mse, math.nan if rel is None else rel])
     header = ["basis_name", "M", "reconstruction_mse", "solve_rel_error"]
     return {"comparison.csv": csvio.csv_text(header, rows)}
 
@@ -467,8 +468,20 @@ _COMMANDS = {
 }
 
 
+class _UsageError(Exception):
+    """A command line argparse rejects, with argparse's usage and message."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The command-line parser, built on the first call and reused: argparse
+    asks for the terminal size once per option it adds."""
+    parser = _Parser(
         prog="klbasis",
         description="Covariance-optimal basis construction and radial collocation solver",
     )
@@ -482,10 +495,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = load_config(args.config, out_dir=args.out_dir, seed=args.seed)
         artifacts = _COMMANDS[args.command](config)
+    except _UsageError as err:
+        print(err, end="", file=sys.stderr)
+        return 1
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1

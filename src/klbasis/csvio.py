@@ -7,21 +7,22 @@ is always present.
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 from typing import Iterable, Sequence
 
-
-def fmt(value: float) -> str:
-    """Format one number with 17 significant digits."""
-    return f"{float(value):.17g}"
+import numpy as np
 
 
-def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else fmt(cell) for cell in row))
-    return "\n".join(lines) + "\n"
+def csv_text(header: Sequence[str], rows: np.ndarray | Iterable[Sequence]) -> str:
+    """Header line, then one line per row of a 2-D array or an iterable of
+    rows. The first row sets each column's template, `%s` for a string cell
+    and `%.17g` for a number, and one `%` formats the whole table."""
+    table = rows.tolist() if isinstance(rows, np.ndarray) else [list(row) for row in rows]
+    line = ",".join("%s" if isinstance(c, str) else "%.17g" for c in table[0]) if table else ""
+    cells = tuple(itertools.chain.from_iterable(table))
+    return ",".join(header) + "\n" + ((line + "\n") * len(table)) % cells
 
 
 def write_text(path: str | Path, text: str) -> Path:

@@ -249,7 +249,7 @@ def reconstruction_mse(Yc: CenteredMatrix, basis: KLBasis, M: int) -> float:
 
 
 def eigenvalues_csv_text(basis: KLBasis) -> str:
-    rows = ([i, lam] for i, lam in enumerate(basis.eigenvalues))
+    rows = np.column_stack((np.arange(basis.n), basis.eigenvalues))
     return csvio.csv_text(["index", "eigenvalue"], rows)
 
 
@@ -257,11 +257,7 @@ def vectors_csv_text(basis: KLBasis) -> str:
     if basis.grid is None:
         raise ValueError("basis has no grid attached; cannot serialize vectors")
     header = ["x"] + [f"phi_{j}" for j in range(basis.n)]
-    rows = (
-        [basis.grid.points[i]] + list(basis.vectors[i])
-        for i in range(basis.n)
-    )
-    return csvio.csv_text(header, rows)
+    return csvio.csv_text(header, np.column_stack((basis.grid.points, basis.vectors)))
 
 
 def basis_json_doc(basis: KLBasis) -> dict:

@@ -120,8 +120,4 @@ def build_sample_matrix(
 
 def sample_matrix_csv_text(sample: SampleMatrix) -> str:
     header = ["x"] + [f"orb_{lbl}" for lbl in sample.family.labels]
-    rows = (
-        [sample.grid.points[i]] + list(sample.values[i])
-        for i in range(sample.grid.n_points)
-    )
-    return csvio.csv_text(header, rows)
+    return csvio.csv_text(header, np.column_stack((sample.grid.points, sample.values)))

@@ -192,6 +192,33 @@ class TestConfig:
             run(["solve", "--out-dir", str(tmp_path / "out")])
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve", "--seed", "abc"], "solve: error: argument --seed: invalid int value"),
+            (["solve", "--bogus", "1"], "klbasis: error: unrecognized arguments: --bogus 1"),
+            ([], "klbasis: error: the following arguments are required: command"),
+            (["frobnicate"], "klbasis: error: argument command: invalid choice: 'frobnicate'"),
+            (["solve", "--config"], "solve: error: argument --config: expected one argument"),
+        ],
+        ids=["seed-abc", "unknown-option", "no-subcommand", "bad-subcommand", "config-no-value"],
+    )
+    def test_usage_error_is_exit_1(self, tmp_path, monkeypatch, capsys, argv, message):
+        # exit 2 is kept for NumericalError, so argparse's own exit 2 is not used
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: klbasis")
+        assert message in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit:
+            run(["solve", "--help"])
+        assert exit.value.code == 0
+        assert "--seed SEED" in capsys.readouterr().out
+
 
 class TestGenBasis:
     def test_default_artifacts(self, tmp_path):
