@@ -429,8 +429,9 @@ def numerov_oracle(bvp: BoundaryValueProblem, n_points: int) -> NumerovSolution:
     and v starts from the regular series (for l = 0, s is the literal slope),
     so one sweep suffices; otherwise two are run. Each sweep is one blocked
     numpy scan (see _numerov_sweep). The result must meet y(b) to
-    1e-12 |y_f|; if rounding in u + s v misses that, the residual is
-    removed along v once more and 1e-8 |y_f| is accepted.
+    1e-12 |y_f| (|y_a| when y_f = 0); if rounding in u + s v misses that,
+    the residual is removed along v once more and 1e-8 of that scale is
+    accepted.
     """
     if n_points < 1000:
         raise ValueError(f"n_points must be >= 1000, got {n_points}")
@@ -440,10 +441,8 @@ def numerov_oracle(bvp: BoundaryValueProblem, n_points: int) -> NumerovSolution:
     incr = (h * h) * g
     coef = 1.0 - (h * h / 12.0) * g
 
-    if bvp.y_f == 0.0:
-        if bvp.y_a == 0.0:
-            return NumerovSolution(x=x, y=np.zeros(n_points), slope=0.0, iterations=0)
-        raise NumericalError("cannot shoot onto y(b) = 0 from a nonzero y(a)")
+    if bvp.y_f == 0.0 and bvp.y_a == 0.0:
+        return NumerovSolution(x=x, y=np.zeros(n_points), slope=0.0, iterations=0)
 
     if bvp.a == 0.0 and bvp.y_a == 0.0:
         seed1 = float(_regular_series(bvp, x[1]))
@@ -461,10 +460,11 @@ def numerov_oracle(bvp: BoundaryValueProblem, n_points: int) -> NumerovSolution:
     if not math.isfinite(slope):
         raise NumericalError("unit-slope sweep vanishes at b; no slope matches y(b)")
     y = u + slope * v
-    if abs(y[-1] - bvp.y_f) > 1e-12 * abs(bvp.y_f):
+    scale = abs(bvp.y_f) or abs(bvp.y_a)
+    if abs(y[-1] - bvp.y_f) > 1e-12 * scale:
         correction = (bvp.y_f - float(y[-1])) / v_b
         slope += correction
         y = y + correction * v
-    if not abs(y[-1] - bvp.y_f) <= 1e-8 * abs(bvp.y_f):
+    if not abs(y[-1] - bvp.y_f) <= 1e-8 * scale:
         raise NumericalError("superposed sweeps do not match y(b)")
     return NumerovSolution(x=x, y=y, slope=slope, iterations=sweeps)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .basisfn import BasisFunction
 from .errors import NumericalError
@@ -154,10 +155,13 @@ class AssembledSystem:
 def _stack(problem: CollocationProblem, energies) -> tuple[np.ndarray, np.ndarray]:
     """`assemble`'s matrix at K energies as one (K, rows, M) stack, and its rhs."""
     interior = problem._interior.operator(energies)
-    boundary = np.broadcast_to(problem._boundary, interior.shape[:1] + problem._boundary.shape)
-    rhs = np.zeros(interior.shape[1] + 2)
+    k, n_interior, m = interior.shape
+    stack = np.empty((k, n_interior + 2, m))
+    stack[:, :-2] = interior
+    stack[:, -2:] = problem._boundary
+    rhs = np.zeros(n_interior + 2)
     rhs[-2:] = problem.bvp.y_a, problem.bvp.y_f
-    return np.concatenate([interior, boundary], axis=1), rhs
+    return stack, rhs
 
 
 def assemble(problem: CollocationProblem) -> AssembledSystem:
@@ -194,7 +198,8 @@ def solve(problem: CollocationProblem) -> SpectralSolution:
 
     The one-energy case of `energy_scan`'s stacked path: per call only the
     (V - E) diagonal is formed, the matrix gated by its singular values,
-    solved, and its boundary values checked against the problem's.
+    solved by the same stacked LAPACK call a scan makes for all of its
+    energies, and its boundary values checked against the problem's.
 
     A square system goes through a direct partial-pivoting solve. An
     overdetermined one is solved in the least-squares sense with the two
@@ -216,63 +221,88 @@ def solve(problem: CollocationProblem) -> SpectralSolution:
     return SpectralSolution(coeffs, cond, problem, method)
 
 
+def _lstsq_failed(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _lstsq(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`np.linalg.lstsq(a[k], b[k], rcond=1e-14)` for every k of a (K, rows, M)
+    stack: the (K, M) solutions and the (K, min(rows, M)) singular values.
+
+    It calls the LAPACK gelsd gufunc that `lstsq` itself calls, broadcast over
+    the stack, so each row keeps the bits of its single call, and it raises
+    `LinAlgError` on a LAPACK failure as `lstsq` does."""
+    with np.errstate(
+        call=_lstsq_failed, invalid="call", over="ignore", divide="ignore", under="ignore"
+    ):
+        x, _, _, sv = _umath_linalg.lstsq(a, b[..., None], _SINGULAR_GATE, signature="ddd->ddid")
+    return x[..., 0], sv
+
+
 def _solve_stack(problem: CollocationProblem, energies) -> list:
     """Per energy, (coefficients, condition estimate, method) or the
-    `NumericalError` that stopped it. A matrix that is not finite, or whose
-    largest interior row norm (the boundary weight's scale) overflows,
-    fails before LAPACK sees it; one stacked SVD serves the others."""
+    `NumericalError` that stopped it.
+
+    A matrix that is not finite, or whose largest interior row norm (the
+    boundary weight's scale) overflows, fails before LAPACK sees it; one
+    stacked SVD gates the others. The square matrices that pass the gate
+    take one stacked `np.linalg.solve`, the rest one stacked weighted
+    least-squares call (`_lstsq`); each matrix gets the bits its own
+    `solve` or `lstsq` call would give. The boundary checks and condition
+    estimates are array operations over the stack, so Python only builds
+    the result list and the failure messages."""
     stack, rhs = _stack(problem, energies)
-    finite = np.isfinite(stack).all(axis=(1, 2))
-    row_scale = np.ones(len(stack))
-    if stack.shape[1] > 2:
+    n_rows, m = stack.shape[1:]
+    if n_rows > 2:
+        interior = stack[:, :-2]
+        # np.linalg.norm's own formula for row 2-norms, without its call overhead
         with np.errstate(over="ignore"):
-            row_scale = np.linalg.norm(stack[:, :-2], axis=-1).max(axis=-1)
-    solvable = finite & np.isfinite(row_scale)
-    sv = np.full((len(stack), min(stack.shape[1:])), np.nan)
-    sv[solvable] = np.linalg.svd(stack[solvable], compute_uv=False)
-    results = []
-    for k in range(len(stack)):
-        try:
-            if not solvable[k]:
-                raise NumericalError(_WEIGHT_NOT_FINITE if finite[k] else _NOT_FINITE)
-            results.append(_solve_matrix(problem, stack[k], rhs, sv[k], row_scale[k]))
-        except NumericalError as err:
-            results.append(err)
-    return results
-
-
-def _solve_matrix(
-    problem: CollocationProblem, A: np.ndarray, rhs: np.ndarray, sv: np.ndarray, row_scale: float
-) -> tuple[np.ndarray, float, str]:
-    """Coefficients, condition estimate and method for one finite matrix A
-    with singular values sv and largest interior row norm row_scale;
-    `NumericalError` if the solution misses the boundary values y_a, y_f
-    of the problem (whose E is not read)."""
-    n_rows, m = A.shape
-    bvp = problem.bvp
-    if n_rows == m and sv[-1] >= _SINGULAR_GATE * sv[0]:
-        coeffs = np.linalg.solve(A, rhs)
-        cond = float(sv[0] / sv[-1])
-        method = "direct"
+            row_scale = np.sqrt((interior * interior).sum(axis=-1)).max(axis=-1)
     else:
-        weight = _BOUNDARY_WEIGHT * row_scale
-        Aw = A.copy()
-        rw = rhs.copy()
-        Aw[-2:] *= weight
-        rw[-2:] *= weight
-        coeffs, _, _, svw = np.linalg.lstsq(Aw, rw, rcond=_SINGULAR_GATE)
-        kept = svw[svw >= _SINGULAR_GATE * svw[0]]
-        cond = float(svw[0] / kept[-1])
-        method = "least-squares"
+        row_scale = np.ones(len(stack))
+    # the basis values at a and b are finite (BasisFunction raises otherwise),
+    # so a NaN or inf entry of a matrix makes its row scale non-finite too
+    solvable = np.isfinite(row_scale)
+    sv = np.full((len(stack), min(n_rows, m)), np.nan)
+    sv[solvable] = np.linalg.svd(stack[solvable], compute_uv=False)
 
-    tol = _BOUNDARY_TOL * max(1.0, abs(bvp.y_f))
-    y_a, y_b = problem._boundary @ coeffs
-    if abs(y_a - bvp.y_a) > tol or abs(y_b - bvp.y_f) > tol:
-        raise NumericalError(
-            f"boundary conditions not met; the collocation matrix is "
-            f"numerically singular as posed (sigma_min/sigma_max = {sv[-1] / sv[0]:.2e})"
-        )
-    return coeffs, cond, method
+    # rows that failed the gate have NaN singular values and compare False
+    direct = (sv[:, -1] >= _SINGULAR_GATE * sv[:, 0]) & (n_rows == m)
+    weighted = solvable & ~direct
+    coeffs = np.full((len(stack), m), np.nan)
+    cond = np.full(len(stack), np.nan)
+    if np.count_nonzero(direct):
+        coeffs[direct] = np.linalg.solve(stack[direct], rhs)
+        cond[direct] = sv[direct, 0] / sv[direct, -1]
+    if np.count_nonzero(weighted):
+        weight = _BOUNDARY_WEIGHT * row_scale[weighted]
+        Aw = stack[weighted]
+        Aw[:, -2:] *= weight[:, None, None]
+        # rhs is zero outside the boundary rows, so scaling all of it
+        # weights just those
+        coeffs[weighted], svw = _lstsq(Aw, weight[:, None] * rhs)
+        kept = svw >= _SINGULAR_GATE * svw[:, :1]
+        cond[weighted] = svw[:, 0] / np.minimum.reduce(svw, axis=-1, where=kept, initial=np.inf)
+
+    tol = _BOUNDARY_TOL * max(1.0, abs(problem.bvp.y_f))
+    y = (problem._boundary @ coeffs[..., None])[..., 0]
+    missed = (np.abs(y - rhs[-2:]) > tol).any(axis=-1)
+    results = []
+    rows = zip(solvable.tolist(), missed.tolist(), direct.tolist(), cond.tolist())
+    for k, (ok, miss, is_direct, cond_k) in enumerate(rows):
+        if not ok:
+            finite = np.isfinite(stack[k]).all()
+            results.append(NumericalError(_WEIGHT_NOT_FINITE if finite else _NOT_FINITE))
+        elif miss:
+            results.append(
+                NumericalError(
+                    f"boundary conditions not met; the collocation matrix is numerically "
+                    f"singular as posed (sigma_min/sigma_max = {sv[k, -1] / sv[k, 0]:.2e})"
+                )
+            )
+        else:
+            results.append((coeffs[k], cond_k, "direct" if is_direct else "least-squares"))
+    return results
 
 
 def residual(sol: SpectralSolution, eval_points) -> np.ndarray:
@@ -328,8 +358,10 @@ def energy_scan(
     problem and the dense grid's basis values, second derivatives and
     potential are built first. The K systems take the stacked path whose
     one-energy case is `solve`: one (K, rows, M) stack, one SVD and
-    row-norm gate, then the per-matrix solve. The K residual norms are one
-    stack of mat-vec products. A failed solve marks its row 'failed: <reason>'.
+    row-norm gate, then one stacked direct solve and one stacked weighted
+    least-squares call, each over the matrices that take that path. The K
+    residual norms are one stack of mat-vec products. A failed solve marks
+    its row 'failed: <reason>'.
 
     The discrete minimum is refined by the vertex of the parabola through
     it and its neighbors; a minimum on the scan edge is reported with

@@ -301,6 +301,16 @@ class TestSolve:
         _, rows = read_csv(out / "solution.csv")
         assert max(abs(float(r[1])) for r in rows) == 0.0
 
+    def test_zero_target_from_nonzero_start(self, tmp_path):
+        # the Numerov reference shoots onto y(b) = 0 from y(a) = 1
+        cfg = write_config(tmp_path, {"problem": {"a": 1.0, "y_a": 1.0, "y_f": 0.0}})
+        for command in ("solve", "compare-bases"):
+            out = tmp_path / command
+            assert run([command, "--config", str(cfg), "--out-dir", str(out)]) == 0
+        report = read_json(tmp_path / "solve" / "report.json")
+        assert report["reference"] == "numerov"
+        assert report["rel_l2_error_mid"] < 1e-2
+
     def test_more_modes_do_not_raise_residual(self, tmp_path):
         norms = {}
         for m in (8, 12):

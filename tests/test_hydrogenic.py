@@ -241,11 +241,17 @@ class TestNumerovOracle:
         with pytest.raises(ValueError):
             numerov_oracle(reproduction_bvp, 999)
 
-    def test_unreachable_boundary_reported(self):
-        # zero target with nonzero left value cannot bracket a slope
-        bvp = BoundaryValueProblem(l=0, Z=1.0, E=-0.5, a=1.0, b=7.0, y_a=0.5, y_f=0.0)
-        with pytest.raises(NumericalError):
-            numerov_oracle(bvp, 1000)
+    def test_zero_target_is_the_superposition_of_two_shots(self):
+        # y(b) = 0 from y(a) = 1 is well posed: by linearity it is the
+        # y_a = y_f = 1 solution minus the y_a = 0, y_f = 1 one
+        def shoot(y_a, y_f):
+            bvp = BoundaryValueProblem(l=0, Z=1.0, E=-0.5, a=1.0, b=7.0, y_a=y_a, y_f=y_f)
+            return numerov_oracle(bvp, 20_000).y
+
+        y = shoot(1.0, 0.0)
+        assert y[0] == 1.0
+        assert abs(y[-1]) <= 1e-12
+        assert np.max(np.abs(y - (shoot(1.0, 1.0) - shoot(0.0, 1.0)))) <= 1e-15 * np.max(np.abs(y))
 
     def test_step_instability_reported(self):
         # a huge classically forbidden region overflows the growing solution

@@ -301,6 +301,24 @@ class TestEnergyScan:
             energy_scan(reproduction_bvp, reproduction_funcs8, -0.7, -0.3, n_steps)
             assert len(calls) == 1
 
+    def test_one_batched_least_squares_call_per_scan(
+        self, monkeypatch, reproduction_funcs8, reproduction_bvp
+    ):
+        # every matrix of this scan takes the weighted least-squares path
+        batched, single = [], []
+        stacked, lstsq = spectral._lstsq, np.linalg.lstsq
+        monkeypatch.setattr(
+            spectral, "_lstsq", lambda *a: batched.append(1) or stacked(*a)
+        )
+        monkeypatch.setattr(
+            np.linalg, "lstsq", lambda *a, **k: single.append(1) or lstsq(*a, **k)
+        )
+        for n_steps in (5, 41):
+            batched.clear()
+            energy_scan(reproduction_bvp, reproduction_funcs8, -0.7, -0.3, n_steps)
+            assert len(batched) == 1
+        assert single == []
+
     def test_basis_evaluated_once_per_scan(
         self, monkeypatch, reproduction_funcs8, reproduction_bvp
     ):
@@ -337,16 +355,16 @@ class TestEnergyScan:
     def test_failures_marked_not_fatal(
         self, monkeypatch, reproduction_funcs8, reproduction_bvp
     ):
-        # the scan solves each energy in the per-matrix step it shares
-        # with `solve`; fail it on the matrix at E = -0.5
-        original = spectral._solve_matrix
+        # the scan solves its energies as one stack; poison the matrix at
+        # E = -0.5 in it
+        original = spectral._stack
 
-        def flaky(problem, A, *rest):
-            if np.array_equal(A[:-2], problem._interior.operator(-0.5)):
-                raise NumericalError("forced failure")
-            return original(problem, A, *rest)
+        def poisoned(problem, energies):
+            stack, rhs = original(problem, energies)
+            stack[np.asarray(energies) == -0.5, 0, 0] = np.nan
+            return stack, rhs
 
-        monkeypatch.setattr(spectral, "_solve_matrix", flaky)
+        monkeypatch.setattr(spectral, "_stack", poisoned)
         scan = energy_scan(reproduction_bvp, reproduction_funcs8, -0.52, -0.48, 5)
         assert scan.statuses[2].startswith("failed:")
         assert np.isnan(scan.residual_norms[2])
@@ -357,3 +375,94 @@ class TestEnergyScan:
             energy_scan(reproduction_bvp, reproduction_funcs8, -0.3, -0.7, 5)
         with pytest.raises(ValueError):
             energy_scan(reproduction_bvp, reproduction_funcs8, -0.7, -0.3, 2)
+
+
+def per_matrix_solve(problem, A, rhs):
+    """The solve of one collocation matrix on public numpy calls, one matrix
+    at a time: what `_solve_stack` must reproduce bit for bit, as
+    (coefficients, condition estimate, method) or a failure message."""
+    bvp = problem.bvp
+    if not np.isfinite(A).all():
+        return spectral._NOT_FINITE
+    with np.errstate(over="ignore"):
+        row_scale = np.linalg.norm(A[:-2], axis=1).max() if len(A) > 2 else 1.0
+    if not np.isfinite(row_scale):
+        return spectral._WEIGHT_NOT_FINITE
+    sv = np.linalg.svd(A, compute_uv=False)
+    if A.shape[0] == A.shape[1] and sv[-1] >= 1e-14 * sv[0]:
+        coeffs = np.linalg.solve(A, rhs)
+        cond, method = float(sv[0] / sv[-1]), "direct"
+    else:
+        weight = 1e6 * row_scale
+        Aw, rw = A.copy(), rhs.copy()
+        Aw[-2:] *= weight
+        rw[-2:] *= weight
+        coeffs, _, _, svw = np.linalg.lstsq(Aw, rw, rcond=1e-14)
+        kept = svw[svw >= 1e-14 * svw[0]]
+        cond, method = float(svw[0] / kept[-1]), "least-squares"
+    tol = 1e-8 * max(1.0, abs(bvp.y_f))
+    y_a, y_b = problem._boundary @ coeffs
+    if abs(y_a - bvp.y_a) > tol or abs(y_b - bvp.y_f) > tol:
+        return (
+            "boundary conditions not met; the collocation matrix is numerically "
+            f"singular as posed (sigma_min/sigma_max = {sv[-1] / sv[0]:.2e})"
+        )
+    return coeffs, cond, method
+
+
+class TestBatchedSolve:
+    """The stacked LAPACK calls of `_solve_stack` against one public call per
+    matrix; a numpy that changes or drops the private gufunc fails here."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            EXCITED_2P,
+            FAILING_ROWS,
+            {"family": {"n_max": 200}},
+            {"sampling": {"N_s": 120}, "truncation": {"value": 30}},
+        ],
+        ids=["default", "2p", "failing-rows", "n_max-200", "uniform-120-M30"],
+    )
+    def test_bit_identical_to_per_matrix_lapack(self, overrides):
+        config = cli.validate_config(overrides)
+        bvp, basis = pipeline_case(overrides)
+        problem = make_collocation_problem(bvp, basis)
+        for energies in (np.linspace(*config.problem["E_range"], 41), [bvp.E]):
+            results = spectral._solve_stack(problem, energies)
+            assert len(results) == len(energies)
+            for e, got in zip(energies, results):
+                system = assemble(make_collocation_problem(replace(bvp, E=e), basis))
+                want = per_matrix_solve(problem, system.matrix, system.rhs)
+                if isinstance(want, str):
+                    assert isinstance(got, NumericalError)
+                    assert str(got) == want
+                    continue
+                assert not isinstance(got, NumericalError), got
+                assert np.array_equal(got[0], want[0])
+                assert got[1:] == want[1:]
+
+    def test_singular_value_cut_matches_lstsq(self):
+        # singular values on both sides of the 1e-14 cut, which the
+        # collocation stacks above do not probe
+        rng = np.random.default_rng(1)
+        u, _ = np.linalg.qr(rng.standard_normal((3, 6, 4)))
+        v, _ = np.linalg.qr(rng.standard_normal((3, 4, 4)))
+        s = np.array([1.0, 1e-3, 3e-14, 5e-15])
+        a = u * s @ v
+        b = rng.standard_normal((3, 6))
+        x, sv = spectral._lstsq(a, b)
+        for k in range(3):
+            want_x, _, rank, want_sv = np.linalg.lstsq(a[k], b[k], rcond=1e-14)
+            assert rank == 3
+            assert np.array_equal(x[k], want_x)
+            assert np.array_equal(sv[k], want_sv)
+
+    def test_lapack_failure_raises(self):
+        # gelsd fails on a NaN entry (which the gate would have stopped); one
+        # failed matrix raises for the stack, as `lstsq` raises, not as NaN
+        a = np.random.default_rng(0).standard_normal((2, 4, 3))
+        a[1, 0, 0] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            spectral._lstsq(a, np.ones((2, 4)))
