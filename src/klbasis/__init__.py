@@ -34,7 +34,6 @@ from .klcore import (
     center_columns,
     covariance,
     eig_sym,
-    kl_transform,
     projection_mse,
     reconstruction_mse,
     truncate_basis,

@@ -431,22 +431,21 @@ def cmd_compare_bases(config: RunConfig) -> Artifacts:
     m = pipe.truncated.M
     grid = pipe.sample.grid
     rng = np.random.default_rng(int(config.seed))
-
-    candidates = [
-        ("kl", pipe.basis.vectors[:, :m]),
-        ("random-orthonormal", _random_orthonormal(grid.n_points, rng)[:, :m]),
-        ("monomial", _monomial_basis(grid.points, m)),
-    ]
-
     bvp = problem_from_config(config)
     xm = _mid_window(bvp)
     reference, _ = _reference(config, bvp)
     refm = reference(xm)
 
+    random = _random_orthonormal(grid.n_points, rng)[:, :m]
+    monomial = _monomial_basis(grid.points, m)
+    candidates = [
+        ("kl", pipe.truncated.vectors, pipe.interpolant),
+        ("random-orthonormal", random, basisfn.BasisFunction(grid.points, random)),
+        ("monomial", monomial, basisfn.BasisFunction(grid.points, monomial)),
+    ]
     rows = []
-    for name, B in candidates:
+    for name, B, interpolant in candidates:
         mse = klcore.projection_mse(pipe.centered, B)
-        interpolant = basisfn.BasisFunction(grid.points, B)
         try:
             sol = spectral.solve(spectral.make_collocation_problem(bvp, interpolant))
             rel = _rel_l2_scaled(sol.eval(xm), refm)

@@ -28,7 +28,6 @@ __all__ = [
     "covariance",
     "eig_sym",
     "truncate_basis",
-    "kl_transform",
     "reconstruction_mse",
     "projection_mse",
     "eigenvalues_csv_text",
@@ -219,16 +218,6 @@ def truncate_basis(basis: KLBasis, criterion: FixedM | EnergyFraction) -> Trunca
     )
 
 
-def kl_transform(basis: KLBasis, Y) -> np.ndarray:
-    """Coordinates of the samples in the eigenvector basis: Z = Phi^T Y."""
-    mat = _as_matrix(Y)
-    if mat.shape[0] != basis.n:
-        raise ValueError(
-            f"row count {mat.shape[0]} does not match basis dimension {basis.n}"
-        )
-    return basis.vectors.T @ mat
-
-
 def projection_mse(Yc, B: np.ndarray) -> float:
     """Mean-square residual of projecting the centered columns onto the
     span of the orthonormal columns of B: (1/N_w) ||Yc - B B^T Yc||_F^2."""
@@ -261,15 +250,8 @@ def vectors_csv_text(basis: KLBasis) -> str:
 
 
 def basis_json_doc(basis: KLBasis) -> dict:
+    """The grid of the `basis.json` manifest: its kind and end points. The
+    points, eigenvalues and vectors are in `basis.csv` and `eigenvalues.csv`."""
     if basis.grid is None:
         raise ValueError("basis has no grid attached; cannot serialize")
-    return {
-        "grid": {
-            "kind": basis.grid.kind.value,
-            "a": basis.grid.a,
-            "b": basis.grid.b,
-            "points": basis.grid.points.tolist(),
-        },
-        "eigenvalues": basis.eigenvalues.tolist(),
-        "vectors": [basis.vectors[:, j].tolist() for j in range(basis.n)],
-    }
+    return {"grid": {"kind": basis.grid.kind.value, "a": basis.grid.a, "b": basis.grid.b}}

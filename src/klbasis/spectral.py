@@ -130,8 +130,6 @@ def default_collocation_points(bvp: BoundaryValueProblem, basis: BasisFunction) 
     inside = nodes[(nodes > bvp.a) & (nodes < bvp.b)]
     if inside.size + 2 >= m:
         return inside
-    if m < 3:
-        return np.empty(0)
     return np.linspace(bvp.a, bvp.b, m)[1:-1]
 
 
@@ -197,7 +195,7 @@ def solve(problem: CollocationProblem) -> SpectralSolution:
     """Solve the collocation system for the coefficients.
 
     The one-energy case of `energy_scan`'s stacked path: per call only the
-    (V - E) diagonal is formed, the matrix gated by its singular values,
+    (V - E) diagonal is formed, a square matrix gated by its singular values,
     solved by the same stacked LAPACK call a scan makes for all of its
     energies, and its boundary values checked against the problem's.
 
@@ -244,11 +242,13 @@ def _solve_stack(problem: CollocationProblem, energies) -> list:
     `NumericalError` that stopped it.
 
     A matrix that is not finite, or whose largest interior row norm (the
-    boundary weight's scale) overflows, fails before LAPACK sees it; one
-    stacked SVD gates the others. The square matrices that pass the gate
-    take one stacked `np.linalg.solve`, the rest one stacked weighted
-    least-squares call (`_lstsq`); each matrix gets the bits its own
-    `solve` or `lstsq` call would give. The boundary checks and condition
+    boundary weight's scale) overflows, fails before LAPACK sees it; in a
+    square stack one stacked SVD gates the others. The square matrices
+    that pass the gate take one stacked `np.linalg.solve`, the rest one
+    stacked weighted least-squares call (`_lstsq`); each matrix gets the
+    bits its own `solve` or `lstsq` call would give. A non-square stack
+    takes singular values only for the failure messages of the matrices
+    that miss their boundary values. The boundary checks and condition
     estimates are array operations over the stack, so Python only builds
     the result list and the failure messages."""
     stack, rhs = _stack(problem, energies)
@@ -263,11 +263,13 @@ def _solve_stack(problem: CollocationProblem, energies) -> list:
     # the basis values at a and b are finite (BasisFunction raises otherwise),
     # so a NaN or inf entry of a matrix makes its row scale non-finite too
     solvable = np.isfinite(row_scale)
+    square = n_rows == m
     sv = np.full((len(stack), min(n_rows, m)), np.nan)
-    sv[solvable] = np.linalg.svd(stack[solvable], compute_uv=False)
+    if square:
+        sv[solvable] = np.linalg.svd(stack[solvable], compute_uv=False)
 
-    # rows that failed the gate have NaN singular values and compare False
-    direct = (sv[:, -1] >= _SINGULAR_GATE * sv[:, 0]) & (n_rows == m)
+    # rows without singular values have NaN ones, which compare False
+    direct = sv[:, -1] >= _SINGULAR_GATE * sv[:, 0]
     weighted = solvable & ~direct
     coeffs = np.full((len(stack), m), np.nan)
     cond = np.full(len(stack), np.nan)
@@ -287,6 +289,8 @@ def _solve_stack(problem: CollocationProblem, energies) -> list:
     tol = _BOUNDARY_TOL * max(1.0, abs(problem.bvp.y_f))
     y = (problem._boundary @ coeffs[..., None])[..., 0]
     missed = (np.abs(y - rhs[-2:]) > tol).any(axis=-1)
+    if not square and missed.any():
+        sv[missed] = np.linalg.svd(stack[missed], compute_uv=False)
     results = []
     rows = zip(solvable.tolist(), missed.tolist(), direct.tolist(), cond.tolist())
     for k, (ok, miss, is_direct, cond_k) in enumerate(rows):
@@ -357,11 +361,11 @@ def energy_scan(
     The basis is evaluated once per scan, not per energy: the collocation
     problem and the dense grid's basis values, second derivatives and
     potential are built first. The K systems take the stacked path whose
-    one-energy case is `solve`: one (K, rows, M) stack, one SVD and
-    row-norm gate, then one stacked direct solve and one stacked weighted
-    least-squares call, each over the matrices that take that path. The K
-    residual norms are one stack of mat-vec products. A failed solve marks
-    its row 'failed: <reason>'.
+    one-energy case is `solve`: one (K, rows, M) stack, one row-norm gate
+    and, for square matrices, one SVD gate, then one stacked direct solve
+    and one stacked weighted least-squares call, each over the matrices that
+    take that path. The K residual norms are one stack of mat-vec products.
+    A failed solve marks its row 'failed: <reason>'.
 
     The discrete minimum is refined by the vertex of the parabola through
     it and its neighbors; a minimum on the scan edge is reported with

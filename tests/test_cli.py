@@ -249,8 +249,29 @@ class TestGenBasis:
         assert run(["gen-basis", "--out-dir", str(out)]) == 0
         doc = read_json(out / "basis.json")
         assert doc["truncation"]["M"] == 8
-        assert len(doc["eigenvalues"]) == 20
+        assert len(read_csv(out / "eigenvalues.csv")[1]) == 20
         assert doc["config"]["sampling"]["N_s"] == 20
+
+    def test_manifest_keys(self, tmp_path):
+        # basis.json repeats no array of the CSV tables
+        out = tmp_path / "out"
+        assert run(["gen-basis", "--out-dir", str(out)]) == 0
+        doc = read_json(out / "basis.json")
+        assert set(doc) == {"grid", "truncation", "config"}
+        assert doc["grid"] == {"kind": "uniform", "a": 0.0, "b": 40.0}
+        assert doc["truncation"] == {"criterion": "fixed_m", "value": 8, "M": 8}
+        assert doc["config"] == cli.validate_config({}, {"output.directory": str(out)}).to_dict()
+
+    def test_csv_tables_hold_the_basis_bit_for_bit(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(["gen-basis", "--out-dir", str(out)]) == 0
+        basis = cli.run_pipeline(cli.validate_config({})).basis
+        _, rows = read_csv(out / "basis.csv")
+        table = np.array(rows, dtype=float)
+        assert np.array_equal(table[:, 0], basis.grid.points)
+        assert np.array_equal(table[:, 1:], basis.vectors)
+        _, rows = read_csv(out / "eigenvalues.csv")
+        assert np.array_equal(np.array(rows, dtype=float)[:, 1], basis.eigenvalues)
 
     def test_high_angular_momentum_family(self, tmp_path):
         # n_max = 10 includes l = 8, 9, past the first eight shell letters
@@ -486,6 +507,28 @@ class TestCompareBases:
             reproduction_pipeline["centered"], reproduction_pipeline["basis"], 8
         )
         assert float(kl_row[2]) == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "overrides, expected",
+        [
+            ({}, 0.0419321543286789),
+            (
+                {"problem": {"n": 2, "l": 1, "E": -0.125, "E_range": [-0.2, -0.05], "b": 20.0}},
+                0.003076837034640566,
+            ),
+        ],
+        ids=["default", "excited2p"],
+    )
+    def test_kl_row_solve_error_is_solves(self, tmp_path, overrides, expected):
+        # the kl row solves in the pipeline's own interpolant, as `solve` does
+        cfg = write_config(tmp_path, overrides)
+        out = tmp_path / "out"
+        assert run(["compare-bases", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        assert run(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        _, rows = read_csv(out / "comparison.csv")
+        kl_error = float(next(r for r in rows if r[0] == "kl")[3])
+        assert kl_error == read_json(out / "report.json")["rel_l2_error_mid"]
+        assert kl_error == pytest.approx(expected, rel=1e-9)
 
 
 class TestDeterminism:

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +12,6 @@ from klbasis.klcore import (
     center_columns,
     covariance,
     eig_sym,
-    kl_transform,
     projection_mse,
     reconstruction_mse,
     truncate_basis,
@@ -169,15 +166,10 @@ class TestTruncation:
 
 
 class TestTransformAndMse:
-    def test_identity_transform(self):
-        basis = eig_sym(CovarianceMatrix(np.eye(3)))
-        Y = np.arange(12.0).reshape(3, 4)
-        assert np.array_equal(kl_transform(basis, Y), Y)
-
     def test_single_eigenvector_column(self, reproduction_pipeline):
         basis = reproduction_pipeline["basis"]
         Y = basis.vectors[:, [0]]
-        Z = kl_transform(basis, Y)
+        Z = basis.vectors.T @ Y
         e0 = np.zeros((20, 1))
         e0[0, 0] = 1.0
         assert np.allclose(Z, e0, atol=1e-12)
@@ -185,14 +177,10 @@ class TestTransformAndMse:
     def test_transformed_covariance_diagonal(self, reproduction_pipeline):
         basis = reproduction_pipeline["basis"]
         Yc = reproduction_pipeline["centered"]
-        Z = kl_transform(basis, Yc)
+        Z = basis.vectors.T @ Yc.values
         Kz = Z @ Z.T / Z.shape[1]
         off = Kz - np.diag(np.diag(Kz))
         assert np.max(np.abs(off)) <= 1e-10 * basis.eigenvalues[0]
-
-    def test_dimension_mismatch_rejected(self, reproduction_pipeline):
-        with pytest.raises(ValueError):
-            kl_transform(reproduction_pipeline["basis"], np.ones((5, 2)))
 
     def test_complete_basis_zero_mse(self, reproduction_pipeline):
         Yc = reproduction_pipeline["centered"]
@@ -244,17 +232,6 @@ class TestSerialization:
         lines = text.strip().split("\n")
         assert lines[0].split(",")[:3] == ["x", "phi_0", "phi_1"]
         assert len(lines) == 21
-
-    def test_json_doc_roundtrip(self, reproduction_pipeline):
-        doc = klcore.basis_json_doc(reproduction_pipeline["basis"])
-        again = json.loads(json.dumps(doc))
-        assert again["grid"]["kind"] == "uniform"
-        assert np.array_equal(
-            np.array(again["vectors"]).T, reproduction_pipeline["basis"].vectors
-        )
-        assert np.array_equal(
-            np.array(again["eigenvalues"]), reproduction_pipeline["basis"].eigenvalues
-        )
 
 
 def _loop_sign_convention(phi):

@@ -422,8 +422,10 @@ class TestBatchedSolve:
             FAILING_ROWS,
             {"family": {"n_max": 200}},
             {"sampling": {"N_s": 120}, "truncation": {"value": 30}},
+            # non-square, and every scan energy misses its boundary values
+            {"problem": {**EXCITED_2P["problem"], "y_a": 0.3}},
         ],
-        ids=["default", "2p", "failing-rows", "n_max-200", "uniform-120-M30"],
+        ids=["default", "2p", "failing-rows", "n_max-200", "uniform-120-M30", "2p-y_a"],
     )
     def test_bit_identical_to_per_matrix_lapack(self, overrides):
         config = cli.validate_config(overrides)
