@@ -30,7 +30,6 @@ from .klcore import (
     EnergyFraction,
     FixedM,
     KLBasis,
-    TruncatedBasis,
     center_columns,
     covariance,
     eig_sym,

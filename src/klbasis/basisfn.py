@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
-from .klcore import TruncatedBasis
+from .klcore import KLBasis
 
 __all__ = [
     "BasisFunction",
@@ -133,8 +133,6 @@ class BasisFunction:
         return self._interpolate(self._derivs[order - 1], x)
 
 
-def interpolate(basis: TruncatedBasis) -> BasisFunction:
-    """One interpolant over all retained modes, on the basis's grid."""
-    if basis.grid is None:
-        raise ValueError("truncated basis carries no grid to interpolate on")
+def interpolate(basis: KLBasis) -> BasisFunction:
+    """One interpolant over all the basis's modes, on its grid."""
     return BasisFunction(basis.grid.points, basis.vectors)

@@ -24,7 +24,7 @@ import json
 import math
 import sys
 from collections.abc import Callable
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -139,25 +139,10 @@ def _nested(values) -> dict:
 DEFAULT_CONFIG = _nested((name, default) for name, default, _ in _SCHEMA)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved run configuration; round-trips losslessly to JSON."""
-
-    family: dict
-    sampling: dict
-    truncation: dict
-    problem: dict
-    output: dict
-    seed: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def load_config(path: str | None, out_dir: str | None = None, seed: int | None = None) -> RunConfig:
+def load_config(path: str | None, out_dir: str | None = None, seed: int | None = None) -> dict:
     """Read the config file, apply the defaults and the command-line
-    overrides, and validate everything the run will rely on. Raises
-    ConfigError before any computation."""
+    overrides, and validate everything the run will rely on: the
+    `validate_config` document. Raises ConfigError before any computation."""
     user = {}
     if path is not None:
         try:
@@ -171,11 +156,13 @@ def load_config(path: str | None, out_dir: str | None = None, seed: int | None =
     return validate_config(user, {k: v for k, v in overrides.items() if v is not None})
 
 
-def validate_config(doc: dict, overrides: dict | None = None) -> RunConfig:
+def validate_config(doc: dict, overrides: dict | None = None) -> dict:
     """Apply the defaults to a config document and check it: first its
     shape (no unknown key, every section an object), then each value,
     with `overrides` (dotted name -> value) taking the place of the
-    document's, then the checks that relate several keys."""
+    document's, then the checks that relate several keys. Returns the
+    complete document, every key in `_SCHEMA` order: the run's config,
+    which its reports and `basis.json` copy as they are."""
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
     values = {name: default for name, default, _ in _SCHEMA}
@@ -206,11 +193,14 @@ def validate_config(doc: dict, overrides: dict | None = None) -> RunConfig:
     if not prob["l"] < prob["n"]:
         raise ConfigError(f"problem quantum numbers need l < n, got l={prob['l']}, n={prob['n']}")
     # the potential reaches -Z/epsilon and l(l+1)/epsilon at x = 0
-    eps, l = prob["epsilon"], prob["l"]
-    if not (math.isfinite(cfg["family"]["Z"] / eps) and math.isfinite(l * (l + 1) / eps)):
+    eps, l, Z = prob["epsilon"], prob["l"], cfg["family"]["Z"]
+    if not (math.isfinite(Z / eps) and math.isfinite(l * (l + 1) / eps)):
         raise ConfigError(
             f"problem.epsilon must keep Z/epsilon and l(l+1)/epsilon finite, got {eps}"
         )
+    # the orbitals are evaluated at rho = 2 Z r / n, up to 2 Z b
+    if not math.isfinite(2.0 * Z * samp["b"]):
+        raise ConfigError(f"sampling.b must keep 2*Z*b finite, got b={samp['b']}, Z={Z}")
     if not prob["a"] < prob["b"]:
         raise ConfigError("problem requires a < b")
     if prob["a"] < samp["a"] or prob["b"] > samp["b"]:
@@ -218,7 +208,7 @@ def validate_config(doc: dict, overrides: dict | None = None) -> RunConfig:
             f"problem domain [a, b] = [{prob['a']}, {prob['b']}] must lie within the sampling "
             f"domain [{samp['a']}, {samp['b']}]; the basis cannot be evaluated outside it"
         )
-    return RunConfig(**cfg)
+    return cfg
 
 
 # -- pipeline pieces ----------------------------------------------------------
@@ -230,30 +220,28 @@ class PipelineResult:
     centered: klcore.CenteredMatrix
     cov: klcore.CovarianceMatrix
     basis: klcore.KLBasis
-    truncated: klcore.TruncatedBasis
+    truncated: klcore.KLBasis
     interpolant: basisfn.BasisFunction
 
 
-def run_pipeline(config: RunConfig) -> PipelineResult:
+def run_pipeline(config: dict) -> PipelineResult:
     """Samples -> centering -> covariance -> eigenbasis -> truncation ->
     interpolated basis functions."""
-    family = make_family(int(config.family["n_max"]), float(config.family["Z"]))
+    fam, samp, trunc = config["family"], config["sampling"], config["truncation"]
+    family = make_family(int(fam["n_max"]), float(fam["Z"]))
     grid = sampling.make_grid(
-        sampling.GridKind(config.sampling["kind"]),
-        int(config.sampling["N_s"]),
-        float(config.sampling["a"]),
-        float(config.sampling["b"]),
+        sampling.GridKind(samp["kind"]), int(samp["N_s"]), float(samp["a"]), float(samp["b"])
     )
     sample = sampling.build_sample_matrix(
-        family, grid, sampling.Representation(config.sampling["representation"])
+        family, grid, sampling.Representation(samp["representation"])
     )
     centered = klcore.center_columns(sample)
     cov = klcore.covariance(centered)
-    basis = klcore.eig_sym(cov, grid=grid)
-    if config.truncation["criterion"] == "fixed_m":
-        criterion = klcore.FixedM(int(config.truncation["value"]))
+    basis = klcore.eig_sym(cov, grid)
+    if trunc["criterion"] == "fixed_m":
+        criterion = klcore.FixedM(int(trunc["value"]))
     else:
-        criterion = klcore.EnergyFraction(float(config.truncation["value"]))
+        criterion = klcore.EnergyFraction(float(trunc["value"]))
     truncated = klcore.truncate_basis(basis, criterion)
     return PipelineResult(
         sample=sample, centered=centered, cov=cov, basis=basis,
@@ -261,11 +249,11 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     )
 
 
-def problem_from_config(config: RunConfig) -> BoundaryValueProblem:
-    prob = config.problem
+def problem_from_config(config: dict) -> BoundaryValueProblem:
+    prob = config["problem"]
     return BoundaryValueProblem(
         l=int(prob["l"]),
-        Z=float(config.family["Z"]),
+        Z=float(config["family"]["Z"]),
         E=float(prob["E"]),
         a=float(prob["a"]),
         b=float(prob["b"]),
@@ -276,7 +264,7 @@ def problem_from_config(config: RunConfig) -> BoundaryValueProblem:
 
 
 def _reference(
-    config: RunConfig, bvp: BoundaryValueProblem
+    config: dict, bvp: BoundaryValueProblem
 ) -> tuple[Callable[[np.ndarray], np.ndarray], str]:
     """Reference solution as a function of x, and its kind: the closed form
     for the ground-state configuration, otherwise the Numerov oracle,
@@ -288,7 +276,7 @@ def _reference(
         return np.zeros_like, "trivial"
     if (
         bvp.l == 0
-        and float(config.family["Z"]) == 1.0
+        and float(config["family"]["Z"]) == 1.0
         and bvp.E == -0.5
         and bvp.y_a == 0.0
         and bvp.a == 0.0
@@ -305,21 +293,26 @@ def _mid_window(bvp: BoundaryValueProblem) -> np.ndarray:
 
 
 def _rel_l2(y: np.ndarray, ref: np.ndarray) -> float | None:
-    denom = float(np.linalg.norm(ref))
-    if denom == 0.0:
-        return None
-    return float(np.linalg.norm(y - ref) / denom)
+    """Relative L2 error; not finite where the squares in its norms
+    overflow, which the callers classify."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        denom = float(np.linalg.norm(ref))
+        if denom == 0.0:
+            return None
+        return float(np.linalg.norm(y - ref) / denom)
 
 
 def _rel_l2_scaled(y: np.ndarray, ref: np.ndarray) -> float | None:
     """Relative L2 after fixing the solution's free global coefficient by
-    a least-squares fit; the boundary value only sets the scale."""
-    denom = float(np.linalg.norm(ref))
-    yy = float(y @ y)
-    if denom == 0.0 or yy == 0.0:
-        return None
-    alpha = float(y @ ref) / yy
-    return float(np.linalg.norm(alpha * y - ref) / denom)
+    a least-squares fit; the boundary value only sets the scale. Not
+    finite where the squares overflow, as `_rel_l2`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        denom = float(np.linalg.norm(ref))
+        yy = float(y @ y)
+        if denom == 0.0 or yy == 0.0:
+            return None
+        alpha = float(y @ ref) / yy
+        return float(np.linalg.norm(alpha * y - ref) / denom)
 
 
 # -- subcommands --------------------------------------------------------------
@@ -330,16 +323,16 @@ def _rel_l2_scaled(y: np.ndarray, ref: np.ndarray) -> float | None:
 Artifacts = dict[str, "str | dict"]
 
 
-def cmd_gen_basis(config: RunConfig) -> Artifacts:
+def cmd_gen_basis(config: dict) -> Artifacts:
     """sample wavefunctions and write the basis artifact set"""
     pipe = run_pipeline(config)
     doc = klcore.basis_json_doc(pipe.basis)
     doc["truncation"] = {
-        "criterion": config.truncation["criterion"],
-        "value": config.truncation["value"],
+        "criterion": config["truncation"]["criterion"],
+        "value": config["truncation"]["value"],
         "M": pipe.truncated.M,
     }
-    doc["config"] = config.to_dict()
+    doc["config"] = config
     return {
         "samples.csv": sampling.sample_matrix_csv_text(pipe.sample),
         "covariance.csv": csvio.csv_text([f"k_{j}" for j in range(pipe.cov.n)], pipe.cov.K),
@@ -349,14 +342,14 @@ def cmd_gen_basis(config: RunConfig) -> Artifacts:
     }
 
 
-def cmd_solve(config: RunConfig) -> Artifacts:
+def cmd_solve(config: dict) -> Artifacts:
     """solve the boundary-value problem in the truncated basis"""
     pipe = run_pipeline(config)
     bvp = problem_from_config(config)
     problem = spectral.make_collocation_problem(bvp, pipe.interpolant)
     sol = spectral.solve(problem)
 
-    xs = np.linspace(bvp.a, bvp.b, int(config.output["export_points"]))
+    xs = np.linspace(bvp.a, bvp.b, int(config["output"]["export_points"]))
     # one tabulation of the export grid gives both the solution and its defect
     res, y = spectral._Tabulation.at(bvp, problem.basis, xs).defect(sol.coefficients, bvp.E)
     reference, ref_kind = _reference(config, bvp)
@@ -365,16 +358,21 @@ def cmd_solve(config: RunConfig) -> Artifacts:
     xm = _mid_window(bvp)
     ym = sol.eval(xm)
     refm = reference(xm)
-    dense = spectral._scan_grid(bvp)
+    figures = {
+        "rel_l2_error_mid": _rel_l2_scaled(ym, refm),
+        "rel_l2_error_mid_raw": _rel_l2(ym, refm),
+        "residual_norm": spectral.relative_residual_norm(sol, spectral._scan_grid(bvp)),
+    }
+    for name, value in figures.items():
+        if value is not None and not math.isfinite(value):
+            raise NumericalError(f"{name} is not finite: the squares in its norm overflow")
     report = {
-        "config": config.to_dict(),
+        "config": config,
         "M": problem.n_modes,
         "coefficients": sol.coefficients.tolist(),
         "condition_estimate": sol.condition_estimate,
         "method": sol.method,
-        "rel_l2_error_mid": _rel_l2_scaled(ym, refm),
-        "rel_l2_error_mid_raw": _rel_l2(ym, refm),
-        "residual_norm": spectral.relative_residual_norm(sol, dense),
+        **figures,
         "mid_window": [float(xm[0]), float(xm[-1])],
         "reference": ref_kind,
     }
@@ -387,21 +385,22 @@ def cmd_solve(config: RunConfig) -> Artifacts:
     }
 
 
-def cmd_scan_energy(config: RunConfig) -> Artifacts:
+def cmd_scan_energy(config: dict) -> Artifacts:
     """scan trial energies and locate the residual minimum"""
-    e_range = config.problem["E_range"]
+    prob = config["problem"]
+    e_range = prob["E_range"]
     if e_range is None:
         raise ConfigError("scan-energy requires problem.E_range")
     pipe = run_pipeline(config)
     bvp = problem_from_config(config)
     scan = spectral.energy_scan(
-        bvp, pipe.interpolant, float(e_range[0]), float(e_range[1]), int(config.problem["n_steps"])
+        bvp, pipe.interpolant, float(e_range[0]), float(e_range[1]), int(prob["n_steps"])
     )
     rows = zip(scan.energies.tolist(), scan.residual_norms.tolist(), scan.statuses)
     return {
         "scan.csv": csvio.csv_text(["E", "residual_norm", "status"], rows),
         "report.json": {
-            "config": config.to_dict(),
+            "config": config,
             "argmin_energy": scan.argmin_energy,
             "argmin_status": scan.argmin_status,
             "n_failed": sum(1 for s in scan.statuses if s != "ok"),
@@ -425,12 +424,12 @@ def _monomial_basis(grid_points: np.ndarray, m: int) -> np.ndarray:
     return Q * np.sign(np.diag(R))
 
 
-def cmd_compare_bases(config: RunConfig) -> Artifacts:
+def cmd_compare_bases(config: dict) -> Artifacts:
     """compare reconstruction and solve errors across basis sets"""
     pipe = run_pipeline(config)
     m = pipe.truncated.M
     grid = pipe.sample.grid
-    rng = np.random.default_rng(int(config.seed))
+    rng = np.random.default_rng(int(config["seed"]))
     bvp = problem_from_config(config)
     xm = _mid_window(bvp)
     reference, _ = _reference(config, bvp)
@@ -451,7 +450,8 @@ def cmd_compare_bases(config: RunConfig) -> Artifacts:
             rel = _rel_l2_scaled(sol.eval(xm), refm)
         except NumericalError:
             rel = None
-        rows.append([name, str(m), mse, math.nan if rel is None else rel])
+        finite = rel is not None and math.isfinite(rel)
+        rows.append([name, str(m), mse, rel if finite else math.nan])
     header = ["basis_name", "M", "reconstruction_mse", "solve_rel_error"]
     return {"comparison.csv": csvio.csv_text(header, rows)}
 
@@ -507,7 +507,7 @@ def main(argv=None) -> int:
     except NumericalError as err:
         print(f"numerical error: {err}", file=sys.stderr)
         return 2
-    out_dir = Path(config.output["directory"])
+    out_dir = Path(config["output"]["directory"])
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, content in artifacts.items():
         write = csvio.write_json if name.endswith(".json") else csvio.write_text

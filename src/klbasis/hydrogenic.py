@@ -208,7 +208,12 @@ def family_values(family: RadialFamily, r) -> np.ndarray:
         # l = 0 columns add 0 * 0.0, not 0 * log(0) = nan at the origin
         log_rho = np.log(rho, out=np.zeros_like(rho), where=l > 0)
         log_envelope = log_norm - rho / 2.0 + l * log_rho
-    return np.exp(log_envelope) * laguerre(n - l - 1, 2 * l + 1, rho)
+    # far out L overflows, at radii where the envelope has long underflowed
+    # to 0; there the orbital is 0 (a finite product keeps its sign, even -0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.exp(log_envelope) * laguerre(n - l - 1, 2 * l + 1, rho)
+    values[~np.isfinite(values)] = 0.0
+    return values
 
 
 def radial_wavefunction(orb: OrbitalSpec, r):

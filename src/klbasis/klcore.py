@@ -21,7 +21,6 @@ __all__ = [
     "CenteredMatrix",
     "CovarianceMatrix",
     "KLBasis",
-    "TruncatedBasis",
     "FixedM",
     "EnergyFraction",
     "center_columns",
@@ -49,12 +48,10 @@ class CenteredMatrix:
     """Sample matrix with the per-row mean over columns removed."""
 
     values: np.ndarray
-    row_means: np.ndarray
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "row_means", np.asarray(self.row_means, dtype=float))
         scale = np.max(np.abs(vals), initial=0.0)
         if np.any(np.abs(vals.sum(axis=1)) > 1e-12 * vals.shape[1] * max(scale, 1e-300)):
             raise ValueError("rows of a centered matrix must sum to zero")
@@ -88,8 +85,7 @@ def center_columns(Y) -> CenteredMatrix:
         raise ValueError("expected a 2-d sample matrix")
     if mat.shape[1] < 2:
         raise ValueError(f"need at least 2 columns to center, got {mat.shape[1]}")
-    means = mat.mean(axis=1)
-    return CenteredMatrix(values=mat - means[:, None], row_means=means)
+    return CenteredMatrix(values=mat - mat.mean(axis=1)[:, None])
 
 
 def covariance(Yc: CenteredMatrix) -> CovarianceMatrix:
@@ -104,48 +100,42 @@ def covariance(Yc: CenteredMatrix) -> CovarianceMatrix:
 
 @dataclass(frozen=True)
 class KLBasis:
-    """All eigenpairs of a covariance matrix, eigenvalues descending,
+    """The leading M eigenpairs of a covariance matrix on its grid: all n
+    of them from `eig_sym`, fewer after truncation. Eigenvalues descending,
     eigenvector columns orthonormal with a deterministic sign."""
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
-    grid: Grid | None = None
+    grid: Grid
 
     def __post_init__(self):
         lam = np.asarray(self.eigenvalues, dtype=float)
         phi = np.asarray(self.vectors, dtype=float)
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "vectors", phi)
-        if phi.shape != (lam.size, lam.size):
-            raise ValueError("vectors must be square with one column per eigenvalue")
+        n = self.grid.n_points
+        if phi.shape != (n, lam.size) or not 1 <= lam.size <= n:
+            raise ValueError(
+                f"vectors need one row per grid point and 1 to {n} columns, one per "
+                f"eigenvalue; got {phi.shape} for {lam.size} eigenvalues"
+            )
         if np.any(np.diff(lam) > 0):
             raise ValueError("eigenvalues must be sorted in descending order")
-        lam0 = max(lam[0], 0.0) if lam.size else 0.0
-        if np.any(lam < -1e-12 * max(lam0, 1e-300)):
+        if np.any(lam < -1e-12 * max(lam[0], 1e-300)):
             raise ValueError("covariance eigenvalues must be non-negative up to rounding")
         gram_err = np.max(np.abs(phi.T @ phi - np.eye(lam.size)))
         if gram_err > 1e-10:
             raise ValueError(f"eigenvector columns not orthonormal (error {gram_err:.2e})")
 
     @property
-    def n(self) -> int:
+    def M(self) -> int:
+        """The number of modes."""
         return self.eigenvalues.size
 
-
-@dataclass(frozen=True)
-class TruncatedBasis:
-    """The first M modes of a KLBasis."""
-
-    M: int
-    vectors: np.ndarray
-    eigenvalues: np.ndarray
-    grid: Grid | None = None
-
-    def __post_init__(self):
-        if not 1 <= self.M:
-            raise ValueError(f"M must be >= 1, got {self.M}")
-        if self.vectors.shape[1] != self.M or self.eigenvalues.size != self.M:
-            raise ValueError("truncated basis shape does not match M")
+    @property
+    def n(self) -> int:
+        """The grid size: the order of the covariance matrix."""
+        return self.grid.n_points
 
 
 @dataclass(frozen=True)
@@ -170,7 +160,7 @@ def _apply_sign_convention(phi: np.ndarray) -> np.ndarray:
     return np.multiply(phi, np.where(peaks < 0, -1.0, 1.0), order="C")
 
 
-def eig_sym(K: CovarianceMatrix, grid: Grid | None = None) -> KLBasis:
+def eig_sym(K: CovarianceMatrix, grid: Grid) -> KLBasis:
     """All eigenpairs of a symmetric matrix, eigenvalues descending.
 
     LAPACK's symmetric eigensolver (`np.linalg.eigh`) does the work; the
@@ -189,14 +179,14 @@ def eig_sym(K: CovarianceMatrix, grid: Grid | None = None) -> KLBasis:
     return KLBasis(eigenvalues=lam, vectors=V, grid=grid)
 
 
-def truncate_basis(basis: KLBasis, criterion: FixedM | EnergyFraction) -> TruncatedBasis:
+def truncate_basis(basis: KLBasis, criterion: FixedM | EnergyFraction) -> KLBasis:
     """Keep the leading modes, either a fixed count or enough of them to
     capture a fraction of the total eigenvalue sum."""
-    n = basis.n
+    m_max = basis.M
     if isinstance(criterion, FixedM):
         m = criterion.M
-        if not 1 <= m <= n:
-            raise ValueError(f"M must be in [1, {n}], got {m}")
+        if not 1 <= m <= m_max:
+            raise ValueError(f"M must be in [1, {m_max}], got {m}")
     elif isinstance(criterion, EnergyFraction):
         f = criterion.f
         if not 0.0 < f <= 1.0:
@@ -207,15 +197,10 @@ def truncate_basis(basis: KLBasis, criterion: FixedM | EnergyFraction) -> Trunca
         else:
             cum = np.cumsum(basis.eigenvalues)
             m = int(np.searchsorted(cum, f * total) + 1)
-            m = min(m, n)
+            m = min(m, m_max)
     else:
         raise TypeError(f"unsupported truncation criterion: {criterion!r}")
-    return TruncatedBasis(
-        M=m,
-        vectors=basis.vectors[:, :m].copy(),
-        eigenvalues=basis.eigenvalues[:m].copy(),
-        grid=basis.grid,
-    )
+    return KLBasis(basis.eigenvalues[:m].copy(), basis.vectors[:, :m].copy(), basis.grid)
 
 
 def projection_mse(Yc, B: np.ndarray) -> float:
@@ -229,8 +214,8 @@ def projection_mse(Yc, B: np.ndarray) -> float:
 def reconstruction_mse(Yc: CenteredMatrix, basis: KLBasis, M: int) -> float:
     """Truncation error of keeping the top M modes; equals the eigenvalue
     tail sum up to rounding."""
-    if not 1 <= M <= basis.n:
-        raise ValueError(f"M must be in [1, {basis.n}], got {M}")
+    if not 1 <= M <= basis.M:
+        raise ValueError(f"M must be in [1, {basis.M}], got {M}")
     return projection_mse(Yc, basis.vectors[:, :M])
 
 
@@ -238,20 +223,16 @@ def reconstruction_mse(Yc: CenteredMatrix, basis: KLBasis, M: int) -> float:
 
 
 def eigenvalues_csv_text(basis: KLBasis) -> str:
-    rows = np.column_stack((np.arange(basis.n), basis.eigenvalues))
+    rows = np.column_stack((np.arange(basis.M), basis.eigenvalues))
     return csvio.csv_text(["index", "eigenvalue"], rows)
 
 
 def vectors_csv_text(basis: KLBasis) -> str:
-    if basis.grid is None:
-        raise ValueError("basis has no grid attached; cannot serialize vectors")
-    header = ["x"] + [f"phi_{j}" for j in range(basis.n)]
+    header = ["x"] + [f"phi_{j}" for j in range(basis.M)]
     return csvio.csv_text(header, np.column_stack((basis.grid.points, basis.vectors)))
 
 
 def basis_json_doc(basis: KLBasis) -> dict:
     """The grid of the `basis.json` manifest: its kind and end points. The
     points, eigenvalues and vectors are in `basis.csv` and `eigenvalues.csv`."""
-    if basis.grid is None:
-        raise ValueError("basis has no grid attached; cannot serialize")
     return {"grid": {"kind": basis.grid.kind.value, "a": basis.grid.a, "b": basis.grid.b}}

@@ -41,8 +41,6 @@ class Representation(str, enum.Enum):
 class Grid:
     kind: GridKind
     points: np.ndarray
-    a: float
-    b: float
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -51,8 +49,14 @@ class Grid:
             raise ValueError("grid needs at least 2 points")
         if np.any(np.diff(pts) <= 0):
             raise ValueError("grid points must be strictly increasing")
-        if pts[0] != self.a or pts[-1] != self.b:
-            raise ValueError("grid endpoints must equal a and b exactly")
+
+    @property
+    def a(self) -> float:
+        return float(self.points[0])
+
+    @property
+    def b(self) -> float:
+        return float(self.points[-1])
 
     @property
     def n_points(self) -> int:
@@ -78,7 +82,7 @@ def make_grid(kind: GridKind, n_s: int, a: float, b: float) -> Grid:
         pts = a + (b - a) * (1.0 - np.cos(j * np.pi / (n_s - 1))) / 2.0
         pts[0] = a
         pts[-1] = b
-    return Grid(kind=kind, points=pts, a=a, b=b)
+    return Grid(kind=kind, points=pts)
 
 
 @dataclass(frozen=True)
@@ -88,7 +92,6 @@ class SampleMatrix:
     values: np.ndarray
     grid: Grid
     family: RadialFamily
-    representation: Representation = Representation.RR
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -115,7 +118,7 @@ def build_sample_matrix(
     values = family_values(family, grid.points)
     if representation is Representation.RR:
         values = grid.points[:, None] * values
-    return SampleMatrix(values=values, grid=grid, family=family, representation=representation)
+    return SampleMatrix(values=values, grid=grid, family=family)
 
 
 def sample_matrix_csv_text(sample: SampleMatrix) -> str:

@@ -36,6 +36,7 @@ _BOUNDARY_WEIGHT = 1e6
 _BOUNDARY_TOL = 1e-8
 _NOT_FINITE = "the collocation matrix is not finite"  # LAPACK would raise LinAlgError
 _WEIGHT_NOT_FINITE = "the collocation row norms overflow"  # so would the weighted solve
+_NORM_NOT_FINITE = "the residual norm is not finite"
 _SCAN_POINTS = 201
 
 
@@ -70,11 +71,12 @@ class _Tabulation:
 
     def relative_norm(self, coefficients: np.ndarray, energy) -> np.ndarray:
         """RMS of the defect over the RMS of y, per row; the plain RMS
-        defect where y is zero."""
+        defect where y is zero. Not finite where the squares overflow."""
         res, y = self.defect(coefficients, energy)
-        res_rms = np.sqrt(np.mean(res * res, axis=-1))
-        y_rms = np.sqrt(np.mean(y * y, axis=-1))
-        return np.divide(res_rms, y_rms, out=np.array(res_rms), where=y_rms > 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res_rms = np.sqrt(np.mean(res * res, axis=-1))
+            y_rms = np.sqrt(np.mean(y * y, axis=-1))
+            return np.divide(res_rms, y_rms, out=np.array(res_rms), where=y_rms > 0.0)
 
 
 @dataclass(frozen=True)
@@ -365,7 +367,8 @@ def energy_scan(
     and, for square matrices, one SVD gate, then one stacked direct solve
     and one stacked weighted least-squares call, each over the matrices that
     take that path. The K residual norms are one stack of mat-vec products.
-    A failed solve marks its row 'failed: <reason>'.
+    A failed solve, or a residual norm that is not finite (its squares
+    overflow), marks its row 'failed: <reason>' and its norm NaN.
 
     The discrete minimum is refined by the vertex of the parabola through
     it and its neighbors; a minimum on the scan edge is reported with
@@ -379,15 +382,19 @@ def energy_scan(
     problem = make_collocation_problem(bvp, basis)
     dense = _Tabulation.at(bvp, basis, _scan_grid(bvp))
     coeffs = np.full((n_steps, problem.n_modes), np.nan)
-    statuses: list[str] = []
-    for k, result in enumerate(_solve_stack(problem, energies)):
+    results = _solve_stack(problem, energies)
+    for k, result in enumerate(results):
+        if not isinstance(result, NumericalError):
+            coeffs[k] = result[0]
+    norms = dense.relative_norm(coeffs, energies)
+    ok = np.isfinite(norms)
+    norms[~ok] = np.nan
+    statuses = []
+    for result, row_ok in zip(results, ok.tolist()):
         if isinstance(result, NumericalError):
             statuses.append(f"failed: {result}")
         else:
-            coeffs[k] = result[0]
-            statuses.append("ok")
-    norms = dense.relative_norm(coeffs, energies)
-    ok = np.isfinite(norms)
+            statuses.append("ok" if row_ok else f"failed: {_NORM_NOT_FINITE}")
     if not np.any(ok):
         raise NumericalError("no scan point solved successfully")
     idx = int(np.nanargmin(norms))

@@ -37,7 +37,7 @@ def read_json(path: Path) -> dict:
 class TestConfig:
     def test_defaults_round_trip(self):
         config = cli.validate_config(cli.DEFAULT_CONFIG)
-        assert cli.validate_config(config.to_dict()).to_dict() == config.to_dict()
+        assert cli.validate_config(config) == config
 
     def test_invalid_quantum_numbers(self, tmp_path):
         cfg = write_config(tmp_path, {"problem": {"l": 3, "n": 1}})
@@ -141,6 +141,55 @@ class TestConfig:
             assert capsys.readouterr().err.startswith("numerical error: ")
             assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, code", [("gen-basis", 0), ("solve", 2), ("scan-energy", 2), ("compare-bases", 0)]
+    )
+    def test_sampling_domain_past_laguerre_overflow(self, tmp_path, capsys, command, code):
+        # on [0, 1e60] the Laguerre factor overflows where the envelope is 0
+        cfg = write_config(tmp_path, {"sampling": {"b": 1e60}, "problem": {"b": 7.0}})
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([command, "--config", str(cfg), "--out-dir", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: ") if code else err == ""
+
+    def test_sampling_domain_that_overflows_rho(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, {"family": {"Z": 10}, "sampling": {"b": 1e308}, "problem": {"b": 7.0}}
+        )
+        out = tmp_path / "out"
+        assert run(["gen-basis", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert "config error: sampling.b must keep 2*Z*b finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_boundary_value_that_overflows_the_norms(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"problem": {"y_f": 1e200}})
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("numerical error: rel_l2_error_mid is not finite")
+            assert not out.exists()
+            assert run(["compare-bases", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        _, rows = read_csv(out / "comparison.csv")
+        assert [row[3] for row in rows] == ["nan"] * 3
+
+    def test_scan_rows_whose_norm_overflows_fail(self, tmp_path):
+        cfg = write_config(tmp_path, {"problem": {"y_f": 1e155}})
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["scan-energy", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        _, rows = read_csv(out / "scan.csv")
+        failed = [r for r in rows if r[2] != "ok"]
+        assert {(r[1], r[2]) for r in failed} == {
+            ("nan", "failed: the residual norm is not finite")
+        }
+        assert all(math.isfinite(float(r[1])) for r in rows if r[2] == "ok")
+        assert read_json(out / "report.json")["n_failed"] == len(failed) > 0
+
     def test_readme_block_is_the_defaults(self):
         block = README.read_text().split("```json\n", 1)[1].split("```", 1)[0]
         assert json.loads(block) == cli.DEFAULT_CONFIG
@@ -165,8 +214,7 @@ class TestConfig:
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     def test_values_kept_as_written(self):
-        config = cli.validate_config({"family": {"Z": 2}, "sampling": {"N_s": 20.0}})
-        doc = config.to_dict()
+        doc = cli.validate_config({"family": {"Z": 2}, "sampling": {"N_s": 20.0}})
         assert type(doc["family"]["Z"]) is int and type(doc["sampling"]["N_s"]) is float
 
     @pytest.mark.parametrize("via_config", [False, True], ids=["out-dir-file", "under-a-file"])
@@ -260,7 +308,7 @@ class TestGenBasis:
         assert set(doc) == {"grid", "truncation", "config"}
         assert doc["grid"] == {"kind": "uniform", "a": 0.0, "b": 40.0}
         assert doc["truncation"] == {"criterion": "fixed_m", "value": 8, "M": 8}
-        assert doc["config"] == cli.validate_config({}, {"output.directory": str(out)}).to_dict()
+        assert doc["config"] == cli.validate_config({}, {"output.directory": str(out)})
 
     def test_csv_tables_hold_the_basis_bit_for_bit(self, tmp_path):
         out = tmp_path / "out"
@@ -586,7 +634,7 @@ def run_configs(draw):
         "sampling": {
             "kind": draw(st.sampled_from(["uniform", "chebyshev-lobatto"])),
             "N_s": n_s,
-            "b": draw(st.sampled_from([20.0, 40.0])),
+            "b": draw(st.sampled_from([20.0, 40.0, 1e60])),
             "representation": draw(st.sampled_from(["R", "rR"])),
         },
         "truncation": truncation,
@@ -598,7 +646,7 @@ def run_configs(draw):
             "n_steps": draw(st.integers(3, 9)),
             "b": draw(st.floats(2.0, 20.0)),
             "y_a": draw(st.sampled_from([0.0, 0.0, 0.3])),
-            "y_f": draw(st.sampled_from([0.0, 1e-4, 1.0])),
+            "y_f": draw(st.sampled_from([0.0, 1e-4, 1.0, 1e200])),
         },
         "output": {"export_points": draw(st.integers(2, 50))},
     }

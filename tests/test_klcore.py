@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 
 from klbasis import klcore
 from klbasis.errors import NumericalError
+from klbasis.sampling import GridKind, make_grid
 from klbasis.klcore import (
     CovarianceMatrix,
     EnergyFraction,
     FixedM,
+    KLBasis,
     center_columns,
     covariance,
     eig_sym,
@@ -16,6 +18,15 @@ from klbasis.klcore import (
     reconstruction_mse,
     truncate_basis,
 )
+
+
+def unit_grid(n):
+    return make_grid(GridKind.UNIFORM, n, 0.0, 1.0)
+
+
+def eig(K):
+    """`eig_sym` of K on an n-point grid, for tests where the points do not matter."""
+    return eig_sym(K, unit_grid(K.n))
 
 
 def random_psd(n, seed):
@@ -33,7 +44,6 @@ class TestCentering:
     def test_hand_example(self):
         out = center_columns(np.array([[1.0, 3.0], [2.0, 2.0]]))
         assert out.values.tolist() == [[-1.0, 1.0], [0.0, 0.0]]
-        assert out.row_means.tolist() == [2.0, 2.0]
 
     def test_rejects_single_column(self):
         with pytest.raises(ValueError):
@@ -72,12 +82,12 @@ class TestCovariance:
 
 class TestEigSym:
     def test_identity(self):
-        basis = eig_sym(CovarianceMatrix(np.eye(4)))
+        basis = eig(CovarianceMatrix(np.eye(4)))
         assert np.all(basis.eigenvalues == 1.0)
         assert np.array_equal(basis.vectors, np.eye(4))
 
     def test_two_by_two(self):
-        basis = eig_sym(CovarianceMatrix(np.array([[2.0, 1.0], [1.0, 2.0]])))
+        basis = eig(CovarianceMatrix(np.array([[2.0, 1.0], [1.0, 2.0]])))
         assert basis.eigenvalues == pytest.approx([3.0, 1.0], abs=1e-12)
         s = 1.0 / np.sqrt(2.0)
         assert basis.vectors[:, 0] == pytest.approx([s, s], abs=1e-12)
@@ -85,7 +95,7 @@ class TestEigSym:
         assert basis.vectors[:, 1] == pytest.approx([s, -s], abs=1e-12)
 
     def test_diagonal(self):
-        basis = eig_sym(CovarianceMatrix(np.diag([5.0, 2.0, 9.0])))
+        basis = eig(CovarianceMatrix(np.diag([5.0, 2.0, 9.0])))
         assert basis.eigenvalues.tolist() == [9.0, 5.0, 2.0]
         expected = np.zeros((3, 3))
         expected[2, 0] = expected[0, 1] = expected[1, 2] = 1.0
@@ -94,7 +104,7 @@ class TestEigSym:
     def test_matches_lapack_oracle(self):
         for seed in (0, 1, 2):
             K = random_psd(12, seed)
-            ours = eig_sym(K)
+            ours = eig(K)
             ref = np.linalg.eigvalsh(K.K)[::-1]
             assert np.allclose(ours.eigenvalues, ref, rtol=0, atol=1e-12 * max(ref[0], 1.0))
 
@@ -116,7 +126,8 @@ class TestEigSym:
     def test_scale_equivariance(self, reproduction_pipeline):
         Yc = reproduction_pipeline["centered"].values
         base = reproduction_pipeline["basis"]
-        scaled = eig_sym(covariance(klcore.CenteredMatrix(3.0 * Yc, np.zeros(20))))
+        grid = reproduction_pipeline["grid"]
+        scaled = eig_sym(covariance(klcore.CenteredMatrix(3.0 * Yc)), grid)
         # eigenvalues at the rounding floor of the spectrum cannot carry a
         # relative comparison; allow dust at the 1e-14 * lambda_0 level
         dust = 1e-14 * 9.0 * base.eigenvalues[0]
@@ -132,22 +143,42 @@ class TestEigSym:
 
         monkeypatch.setattr(klcore.np.linalg, "eigh", fail)
         with pytest.raises(NumericalError):
-            eig_sym(random_psd(4, 0))
+            eig(random_psd(4, 0))
 
 
 class TestTruncation:
     def test_energy_fraction_hand_case(self):
-        basis = eig_sym(CovarianceMatrix(np.diag([5.0, 2.0, 9.0])))
+        basis = eig(CovarianceMatrix(np.diag([5.0, 2.0, 9.0])))
         assert truncate_basis(basis, EnergyFraction(0.5)).M == 1
 
     def test_fixed_m_full(self):
-        basis = eig_sym(CovarianceMatrix(np.diag([5.0, 2.0, 9.0])))
+        basis = eig(CovarianceMatrix(np.diag([5.0, 2.0, 9.0])))
         tb = truncate_basis(basis, FixedM(3))
         assert tb.M == 3
         assert np.array_equal(tb.vectors, basis.vectors)
 
+    @pytest.mark.parametrize("m", [1, 8, 20])
+    def test_leading_columns_of_the_same_basis(self, reproduction_pipeline, m):
+        basis = reproduction_pipeline["basis"]
+        tb = truncate_basis(basis, FixedM(m))
+        assert isinstance(tb, KLBasis)
+        assert (tb.M, tb.n) == (m, basis.n)
+        assert tb.grid is basis.grid
+        assert tb.vectors.flags.c_contiguous
+        assert np.array_equal(tb.vectors, basis.vectors[:, :m])
+        assert np.array_equal(tb.eigenvalues, basis.eigenvalues[:m])
+
+    def test_rows_must_match_the_grid(self, reproduction_pipeline):
+        basis = reproduction_pipeline["basis"]
+        with pytest.raises(ValueError, match="one row per grid point and 1 to"):
+            KLBasis(basis.eigenvalues[:5], basis.vectors[:-1, :5], basis.grid)
+        with pytest.raises(ValueError, match="one row per grid point and 1 to"):
+            KLBasis(basis.eigenvalues[:3], np.eye(3), unit_grid(4))
+        with pytest.raises(ValueError, match="one row per grid point and 1 to"):
+            KLBasis(basis.eigenvalues[:0], basis.vectors[:, :0], basis.grid)
+
     def test_rejects_out_of_range(self):
-        basis = eig_sym(CovarianceMatrix(np.eye(3)))
+        basis = eig(CovarianceMatrix(np.eye(3)))
         with pytest.raises(ValueError):
             truncate_basis(basis, FixedM(0))
         with pytest.raises(ValueError):
@@ -198,7 +229,7 @@ class TestTransformAndMse:
 
     def test_rank_one_data_single_mode(self):
         Yc = center_columns(np.array([[1.0, 3.0], [2.0, 2.0]]))
-        basis = eig_sym(covariance(Yc))
+        basis = eig(covariance(Yc))
         assert reconstruction_mse(Yc, basis, 1) <= 1e-14
 
     def test_kl_beats_random_bases(self, reproduction_pipeline):
@@ -265,4 +296,4 @@ class TestSignConvention:
         # the covariance and projection products round differently on an
         # F-ordered eigenvector matrix
         assert reproduction_pipeline["basis"].vectors.flags.c_contiguous
-        assert eig_sym(random_psd(12, 0)).vectors.flags.c_contiguous
+        assert eig(random_psd(12, 0)).vectors.flags.c_contiguous

@@ -64,10 +64,18 @@ class TestMakeGrid:
         assert np.max(np.abs(sums - (2 * a + width))) <= 1e-14 * scale
 
     def test_grid_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            Grid(kind=GridKind.UNIFORM, points=np.array([0.0, 0.0, 1.0]), a=0.0, b=1.0)
-        with pytest.raises(ValueError):
-            Grid(kind=GridKind.UNIFORM, points=np.array([0.1, 0.5, 1.0]), a=0.0, b=1.0)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Grid(kind=GridKind.UNIFORM, points=np.array([0.0, 0.0, 1.0]))
+        with pytest.raises(ValueError, match="at least 2 points"):
+            Grid(kind=GridKind.UNIFORM, points=np.array([0.1]))
+
+    @pytest.mark.parametrize("kind", list(GridKind))
+    def test_a_and_b_are_the_endpoints(self, kind):
+        g = make_grid(kind, 17, 0.3, 41.7)
+        assert (g.a, g.b) == (0.3, 41.7) == (g.points[0], g.points[-1])
+        assert type(g.a) is float and type(g.b) is float
+        g = Grid(kind=kind, points=np.array([-2.0, 0.5, 3.25]))
+        assert (g.a, g.b) == (-2.0, 3.25)
 
 
 class TestSampleMatrix:
@@ -160,8 +168,21 @@ class TestFamilyPass:
             values = build_sample_matrix(family, grid, rep).values
             assert values.flags.c_contiguous
             assert np.array_equal(values, want)
+            # far out a finite product that underflows keeps its sign: -0.0
+            assert np.array_equal(np.signbit(values), np.signbit(want))
         for orb, col in zip(family.orbitals, columns):
             assert np.array_equal(radial_wavefunction(orb, x), col)
+
+    @pytest.mark.parametrize("n_max, Z", [(7, 1.0), (30, 1.0), (7, 10.0)])
+    def test_zero_where_the_laguerre_factor_overflows(self, n_max, Z):
+        # past rho ~ 1e51 L overflows while the envelope is 0; no warning
+        # escapes (RuntimeWarnings are errors in this suite)
+        family = make_family(n_max, Z)
+        r = np.array([0.0, 1.0, 1e60, 1e200, 1e300])
+        values = family_values(family, r)
+        assert np.all(values[2:] == 0.0)
+        expected = np.column_stack([_loop_radial(orb, r[:2]) for orb in family.orbitals])
+        assert np.array_equal(values[:2], expected)
 
     def test_scalar_radius(self):
         family = make_family(3)
@@ -181,7 +202,7 @@ class TestFamilyPass:
     )
     def test_bad_grid_point_rejected(self, points, message):
         pts = np.array(points)
-        grid = Grid(kind=GridKind.UNIFORM, points=pts, a=pts[0], b=pts[-1])
+        grid = Grid(kind=GridKind.UNIFORM, points=pts)
         with pytest.raises(ValueError, match=f"^{message}$"):
             build_sample_matrix(make_family(3), grid)
         with pytest.raises(ValueError, match=f"^{message}$"):

@@ -431,7 +431,7 @@ class TestBatchedSolve:
         config = cli.validate_config(overrides)
         bvp, basis = pipeline_case(overrides)
         problem = make_collocation_problem(bvp, basis)
-        for energies in (np.linspace(*config.problem["E_range"], 41), [bvp.E]):
+        for energies in (np.linspace(*config["problem"]["E_range"], 41), [bvp.E]):
             results = spectral._solve_stack(problem, energies)
             assert len(results) == len(energies)
             for e, got in zip(energies, results):
