@@ -14,6 +14,7 @@ from .hydrogenic import (
     numerov_oracle,
     radial_norm,
     radial_wavefunction,
+    reduced_eigenstate,
     reduced_ground_state,
 )
 from .sampling import (

@@ -33,9 +33,10 @@ from . import basisfn, csvio, klcore, sampling, spectral
 from .errors import ConfigError, NumericalError
 from .hydrogenic import (
     BoundaryValueProblem,
+    OrbitalSpec,
     make_family,
     numerov_oracle,
-    reduced_ground_state,
+    reduced_eigenstate,
 )
 
 # -- configuration ------------------------------------------------------------
@@ -237,6 +238,9 @@ def run_pipeline(config: dict) -> PipelineResult:
     )
     centered = klcore.center_columns(sample)
     cov = klcore.covariance(centered)
+    trace = float(np.trace(cov.K))
+    if not trace > 0.0:
+        raise NumericalError(f"the sample covariance has trace {trace}, so it defines no basis")
     basis = klcore.eig_sym(cov, grid)
     if trunc["criterion"] == "fixed_m":
         criterion = klcore.FixedM(int(trunc["value"]))
@@ -263,26 +267,28 @@ def problem_from_config(config: dict) -> BoundaryValueProblem:
     )
 
 
+# Grid points of the Numerov reference
+_ORACLE_POINTS = 20_000
+
+
 def _reference(
     config: dict, bvp: BoundaryValueProblem
 ) -> tuple[Callable[[np.ndarray], np.ndarray], str]:
-    """Reference solution as a function of x, and its kind: the closed form
-    for the ground-state configuration, otherwise the Numerov oracle,
-    integrated once here on 2e4 points and read cubically at each call.
-    The cubic read-out's O(h^4) error matches the scheme's own, so this
-    grid gives a reference good to about 1e-12 after the scale fit; 1e5
-    points read linearly cost five times the sweep for about 1e-9."""
+    """Reference solution as a function of x, and its kind. From the origin
+    with y(0) = 0 at E == -Z^2/(2n^2) exactly, n being `problem.n`, it is
+    the closed-form eigenstate (`reduced_eigenstate`, which raises
+    NumericalError when b is one of its nodes). Otherwise it is the Numerov
+    oracle, integrated once here on 2e4 points and read cubically at each
+    call. The cubic read-out's O(h^4) error matches the scheme's own, so
+    this grid gives a reference good to about 1e-12 after the scale fit;
+    1e5 points read linearly cost five times the sweep for about 1e-9."""
     if bvp.y_f == 0.0 and bvp.y_a == 0.0:
         return np.zeros_like, "trivial"
-    if (
-        bvp.l == 0
-        and float(config["family"]["Z"]) == 1.0
-        and bvp.E == -0.5
-        and bvp.y_a == 0.0
-        and bvp.a == 0.0
-    ):
-        return (lambda xs: np.asarray(reduced_ground_state(bvp.b, bvp.y_f, xs))), "closed-form"
-    return numerov_oracle(bvp, 20_000).at, "numerov"
+    n = int(config["problem"]["n"])
+    if bvp.a == 0.0 and bvp.y_a == 0.0 and bvp.E == -(bvp.Z * bvp.Z) / (2 * n * n):
+        orbital = OrbitalSpec(n, bvp.l, bvp.Z)
+        return functools.partial(reduced_eigenstate, orbital, bvp.b, bvp.y_f), "closed-form"
+    return numerov_oracle(bvp, _ORACLE_POINTS).at, "numerov"
 
 
 def _mid_window(bvp: BoundaryValueProblem) -> np.ndarray:
@@ -293,9 +299,13 @@ def _mid_window(bvp: BoundaryValueProblem) -> np.ndarray:
 
 
 def _rel_l2(y: np.ndarray, ref: np.ndarray) -> float | None:
-    """Relative L2 error; not finite where the squares in its norms
-    overflow, which the callers classify."""
+    """Relative L2 error. Both vectors are first divided by the power of
+    two that scales ref into [0.5, 1), which is exact, so the squares in
+    the norms do not overflow; not finite only where the values or the
+    ratio are not, which the callers classify."""
     with np.errstate(over="ignore", invalid="ignore"):
+        ref, exp = spectral._pow2_scaled(ref)
+        y = np.ldexp(y, -exp)
         denom = float(np.linalg.norm(ref))
         if denom == 0.0:
             return None
@@ -304,9 +314,12 @@ def _rel_l2(y: np.ndarray, ref: np.ndarray) -> float | None:
 
 def _rel_l2_scaled(y: np.ndarray, ref: np.ndarray) -> float | None:
     """Relative L2 after fixing the solution's free global coefficient by
-    a least-squares fit; the boundary value only sets the scale. Not
-    finite where the squares overflow, as `_rel_l2`."""
+    a least-squares fit; the boundary value only sets the scale. Each
+    vector is power-of-two scaled first, as in `_rel_l2`; the fitted
+    coefficient absorbs the two scales."""
     with np.errstate(over="ignore", invalid="ignore"):
+        y, _ = spectral._pow2_scaled(y)
+        ref, _ = spectral._pow2_scaled(ref)
         denom = float(np.linalg.norm(ref))
         yy = float(y @ y)
         if denom == 0.0 or yy == 0.0:
@@ -365,7 +378,7 @@ def cmd_solve(config: dict) -> Artifacts:
     }
     for name, value in figures.items():
         if value is not None and not math.isfinite(value):
-            raise NumericalError(f"{name} is not finite: the squares in its norm overflow")
+            raise NumericalError(f"{name} is not finite")
     report = {
         "config": config,
         "M": problem.n_modes,

@@ -34,6 +34,7 @@ __all__ = [
     "radial_wavefunction",
     "radial_norm",
     "make_family",
+    "reduced_eigenstate",
     "reduced_ground_state",
     "numerov_oracle",
 ]
@@ -242,19 +243,43 @@ def radial_norm(orb: OrbitalSpec) -> float:
     return float(np.sum(wts * rr * rr * pts * pts))
 
 
-def reduced_ground_state(b: float, y_f: float, x):
-    """Closed-form reference y(x) = y_f (x/b) exp(b - x).
+def reduced_eigenstate(orb: OrbitalSpec, b: float, y_f: float, x):
+    """Closed-form reference for an eigenstate,
 
-    This is the exact reduced radial ground-state solution (Z=1, l=0,
-    E=-1/2, vanishing regularization) with y(0) = 0 and y(b) = y_f.
+        y(x) = y_f (x/b)^(l+1) exp(kappa (b - x)) L(2 kappa x) / L(2 kappa b)
+
+    with kappa = Z/n and L = L_{n-l-1}^{2l+1}: the reduced radial function
+    x R_nl(x), which solves the problem exactly at E = -Z^2/(2n^2) with
+    vanishing regularization, scaled so that y(0) = 0 and y(b) = y_f.
+
+    Raises NumericalError when b is a node of the state (L(2 kappa b) = 0,
+    so no multiple of it meets y(b) = y_f) or when a value, or L(2 kappa b),
+    overflows a double.
     """
     if not b > 0:
         raise ValueError(f"b must be positive, got {b}")
     xa = np.asarray(x, dtype=float)
     if np.any(xa < 0) or np.any(xa > b):
         raise ValueError(f"x must lie in [0, {b}]")
-    vals = y_f * (xa / b) * np.exp(b - xa)
+    kappa = orb.Z / orb.n
+    degree, alpha = orb.n - orb.l - 1, 2 * orb.l + 1
+    at_b = 1.0  # L_0 = 1: the nodeless states, l = n - 1, take no ratio
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = y_f * (xa / b) ** (orb.l + 1) * np.exp(kappa * (b - xa))
+        if degree > 0:
+            at_b = laguerre(degree, alpha, 2.0 * kappa * b)
+            if at_b == 0.0:
+                raise NumericalError(f"b = {b} is a node of the {orb.label} state")
+            vals = vals * (laguerre(degree, alpha, 2.0 * kappa * xa) / at_b)
+    if not (math.isfinite(at_b) and np.all(np.isfinite(vals))):
+        raise NumericalError(f"the closed-form {orb.label} reference overflows on [0, {b}]")
     return vals if vals.ndim else float(vals)
+
+
+def reduced_ground_state(b: float, y_f: float, x):
+    """Closed-form reference y(x) = y_f (x/b) exp(b - x): the (n, l, Z) =
+    (1, 0, 1) case of `reduced_eigenstate`, at E = -1/2."""
+    return reduced_eigenstate(OrbitalSpec(1, 0, 1.0), b, y_f, x)
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,15 @@ _NORM_NOT_FINITE = "the residual norm is not finite"
 _SCAN_POINTS = 201
 
 
+def _pow2_scaled(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """v with each row (last axis) divided by the power of two 2**e that
+    brings its largest magnitude into [0.5, 1), and the exponents e. The
+    division is exact, so a norm of the result is the row's norm over 2**e
+    to the bit, and no square of it overflows."""
+    _, exp = np.frexp(np.max(np.abs(v), axis=-1, keepdims=True, initial=0.0))
+    return np.ldexp(v, -exp), exp[..., 0]
+
+
 @dataclass(frozen=True)
 class _Tabulation:
     """The basis values phi(x), second derivatives phi''(x) and the
@@ -71,12 +80,18 @@ class _Tabulation:
 
     def relative_norm(self, coefficients: np.ndarray, energy) -> np.ndarray:
         """RMS of the defect over the RMS of y, per row; the plain RMS
-        defect where y is zero. Not finite where the squares overflow."""
+        defect where y is zero. The rows are power-of-two scaled first
+        (`_pow2_scaled`), so the squares cannot overflow; not finite only
+        where the defect or y, or the ratio itself, is not."""
         res, y = self.defect(coefficients, energy)
         with np.errstate(over="ignore", invalid="ignore"):
+            res, res_exp = _pow2_scaled(res)
+            y, y_exp = _pow2_scaled(y)
             res_rms = np.sqrt(np.mean(res * res, axis=-1))
             y_rms = np.sqrt(np.mean(y * y, axis=-1))
-            return np.divide(res_rms, y_rms, out=np.array(res_rms), where=y_rms > 0.0)
+            ratio = np.divide(res_rms, y_rms, out=np.array(res_rms), where=y_rms > 0.0)
+            # a zero y has exponent 0, leaving the plain RMS defect
+            return np.ldexp(ratio, res_exp - y_exp)
 
 
 @dataclass(frozen=True)

@@ -112,8 +112,13 @@ class TestConfig:
 
     @pytest.mark.parametrize("command", ["gen-basis", "solve"])
     def test_domain_too_narrow_to_differentiate(self, tmp_path, capsys, command):
-        # on nodes 1e-300 apart the derivative samples D^2 S overflow
-        cfg = write_config(tmp_path, {"sampling": {"b": 1e-300}, "problem": {"b": 1e-301}})
+        # on nodes 1e-300 apart the derivative samples D^2 S overflow; the
+        # R samples are O(1) there (the rR ones, about r, give a covariance
+        # that underflows to zero)
+        cfg = write_config(
+            tmp_path,
+            {"sampling": {"b": 1e-300, "representation": "R"}, "problem": {"b": 1e-301}},
+        )
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -142,17 +147,21 @@ class TestConfig:
             assert not out.exists()
 
     @pytest.mark.parametrize(
-        "command, code", [("gen-basis", 0), ("solve", 2), ("scan-energy", 2), ("compare-bases", 0)]
+        "command, code", [("gen-basis", 2), ("solve", 2), ("scan-energy", 2), ("compare-bases", 2)]
     )
     def test_sampling_domain_past_laguerre_overflow(self, tmp_path, capsys, command, code):
-        # on [0, 1e60] the Laguerre factor overflows where the envelope is 0
+        # on [0, 1e60] the Laguerre factor overflows where the envelope is 0,
+        # and every sample is 0: a zero covariance defines no basis
         cfg = write_config(tmp_path, {"sampling": {"b": 1e60}, "problem": {"b": 7.0}})
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run([command, "--config", str(cfg), "--out-dir", str(out)]) == code
         err = capsys.readouterr().err
-        assert err.startswith("numerical error: ") if code else err == ""
+        assert err == (
+            "numerical error: the sample covariance has trace 0.0, so it defines no basis\n"
+        )
+        assert not out.exists()
 
     def test_sampling_domain_that_overflows_rho(self, tmp_path, capsys):
         cfg = write_config(
@@ -163,32 +172,59 @@ class TestConfig:
         assert "config error: sampling.b must keep 2*Z*b finite" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_boundary_value_that_overflows_the_norms(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"problem": {"y_f": 1e200}})
-        out = tmp_path / "out"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert run(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 2
-            err = capsys.readouterr().err
-            assert err.startswith("numerical error: rel_l2_error_mid is not finite")
-            assert not out.exists()
-            assert run(["compare-bases", "--config", str(cfg), "--out-dir", str(out)]) == 0
-        _, rows = read_csv(out / "comparison.csv")
-        assert [row[3] for row in rows] == ["nan"] * 3
+    def test_boundary_value_that_overflows_the_norms(self, tmp_path):
+        # the squares in the norms pass 1e308 from |y_f| of about 1e152; the
+        # norms scale each vector by a power of two first, so a run at
+        # 2**700 times the default y_f reports the default's figures to the bit
+        def figures(y_f, name):
+            cfg = write_config(tmp_path, {"problem": {"y_f": y_f}}, f"{name}.json")
+            out = tmp_path / name
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for command in ("solve", "scan-energy", "compare-bases"):
+                    args = [command, "--config", str(cfg), "--out-dir", str(out / command)]
+                    assert run(args) == 0
+            solve = read_json(out / "solve" / "report.json")
+            _, scan = read_csv(out / "scan-energy" / "scan.csv")
+            _, comparison = read_csv(out / "compare-bases" / "comparison.csv")
+            return (
+                [solve[k] for k in ("rel_l2_error_mid", "rel_l2_error_mid_raw", "residual_norm")]
+                + [read_json(out / "scan-energy" / "report.json")["argmin_energy"]]
+                + [float(r[1]) for r in scan if r[2] == "ok"]
+                + [float(r[3]) for r in comparison]
+            )
 
-    def test_scan_rows_whose_norm_overflows_fail(self, tmp_path):
-        cfg = write_config(tmp_path, {"problem": {"y_f": 1e155}})
+        default = np.array(figures(1e-4, "default"))
+        assert len(default) == 3 + 1 + 41 + 3
+        assert np.array_equal(figures(math.ldexp(1e-4, 700), "pow2"), default)
+        # a y_f that is not a power-of-two multiple rounds the solve itself
+        # differently: y_f 3e-4 moves these figures by up to about 2.4e-8
+        huge = np.array(figures(1e200, "huge"))
+        assert np.max(np.abs(huge - default) / np.abs(default)) <= 1e-7
+
+    def test_scan_rows_whose_norm_overflows_fail(self, tmp_path, monkeypatch):
+        # a row whose defect or solution is not finite has a norm that is
+        # not finite; here rows 3 and 7 are made so
+        relative_norm = cli.spectral._Tabulation.relative_norm
+
+        def overflowing(self, coefficients, energy):
+            norms = relative_norm(self, coefficients, energy)
+            norms[[3, 7]] = np.inf
+            return norms
+
+        monkeypatch.setattr(cli.spectral._Tabulation, "relative_norm", overflowing)
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert run(["scan-energy", "--config", str(cfg), "--out-dir", str(out)]) == 0
+            assert run(["scan-energy", "--out-dir", str(out)]) == 0
         _, rows = read_csv(out / "scan.csv")
         failed = [r for r in rows if r[2] != "ok"]
         assert {(r[1], r[2]) for r in failed} == {
             ("nan", "failed: the residual norm is not finite")
         }
+        assert [rows.index(r) for r in failed] == [3, 7]
         assert all(math.isfinite(float(r[1])) for r in rows if r[2] == "ok")
-        assert read_json(out / "report.json")["n_failed"] == len(failed) > 0
+        assert read_json(out / "report.json")["n_failed"] == len(failed)
 
     def test_readme_block_is_the_defaults(self):
         block = README.read_text().split("```json\n", 1)[1].split("```", 1)[0]
@@ -400,13 +436,57 @@ class TestSolve:
             return oracle(bvp, n_points)
 
         monkeypatch.setattr(cli, "numerov_oracle", counted)
-        cfg = write_config(tmp_path, {"problem": {"n": 2, "l": 1, "E": -0.125, "b": 20.0}})
+        # 1e-4 off the 2p eigenvalue, so the reference is the oracle; further
+        # off, the 8 modes miss the solution (error 0.52 at E = -0.13)
+        cfg = write_config(tmp_path, {"problem": {"n": 2, "l": 1, "E": -0.1251, "b": 20.0}})
         out = tmp_path / "out"
         assert run(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 0
         report = read_json(out / "report.json")
         assert report["reference"] == "numerov"
         assert report["rel_l2_error_mid"] <= 0.03
         assert len(calls) == 1
+
+    def test_eigenstate_uses_closed_form_without_the_oracle(self, tmp_path, monkeypatch):
+        def no_oracle(bvp, n_points):
+            raise AssertionError("the Numerov oracle ran")
+
+        monkeypatch.setattr(cli, "numerov_oracle", no_oracle)
+        cfg = write_config(tmp_path, {"problem": {"n": 2, "l": 1, "E": -0.125, "b": 20.0}})
+        for command in ("solve", "compare-bases"):
+            assert run([command, "--config", str(cfg), "--out-dir", str(tmp_path / command)]) == 0
+        report = read_json(tmp_path / "solve" / "report.json")
+        assert report["reference"] == "closed-form"
+        # the exact 2p solution x^2 e^{-x/2}, as in the test below
+        exact = 0.0030768370346592644
+        assert abs(report["rel_l2_error_mid"] - exact) <= 1e-14 * exact
+
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            {"n": 2, "l": 1, "E": math.nextafter(-0.125, 0.0), "b": 20.0},
+            {"n": 2, "l": 1, "E": math.nextafter(-0.125, -1.0), "b": 20.0},
+            {"n": 3, "l": 1, "E": -0.125, "b": 20.0},
+            {"n": 2, "l": 1, "E": -0.125, "b": 20.0, "a": 0.5},
+            {"n": 2, "l": 1, "E": -0.125, "b": 20.0, "y_a": 1e-6},
+        ],
+        ids=["ulp-above", "ulp-below", "n-names-3p", "a-not-0", "y_a-not-0"],
+    )
+    def test_oracle_reference_off_the_eigenstate(self, problem):
+        config = cli.validate_config({"problem": problem})
+        assert cli._reference(config, cli.problem_from_config(config))[1] == "numerov"
+
+    @pytest.mark.parametrize("command", ["solve", "compare-bases"])
+    def test_boundary_on_a_node_of_the_eigenstate(self, tmp_path, capsys, command):
+        # the 2s state vanishes at x = 2, so no multiple of it meets y(2) = y_f
+        cfg = write_config(tmp_path, {"problem": {"n": 2, "l": 0, "E": -0.125, "b": 2.0}})
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([command, "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "numerical error: b = 2.0 is a node of the 2s state"
+        )
+        assert not out.exists()
 
     def test_excited_state_error_against_exact_solution(self, tmp_path):
         # the same metric computed against the exact 2p solution x^2 e^{-x/2}
@@ -463,9 +543,10 @@ def _reduced_orbital(n: int, l: int):
     return lambda x: x * radial_wavefunction(OrbitalSpec(n, l), x)
 
 
-# Problems whose reference is the Numerov oracle, with their exact reduced
-# solution where one is known; the others are checked against a 4e5-point
-# oracle read cubically.
+# Problems for the Numerov reference, with their exact reduced solution
+# where one is known; the others are checked against a 4e5-point oracle
+# read cubically. The CLI's reference for the three eigenstates is their
+# closed form, so their oracle is called directly.
 _REFERENCE_PROBES = {
     "2p": ({"n": 2, "l": 1, "E": -0.125, "b": 20.0}, _reduced_orbital(2, 1)),
     "2s": ({"n": 2, "l": 0, "E": -0.125, "b": 30.0}, _reduced_orbital(2, 0)),
@@ -486,8 +567,11 @@ class TestReference:
             problem = {**problem, "y_f": float(exact(problem["b"]))}
         config = cli.validate_config({"sampling": {"b": 80.0}, "problem": problem})
         bvp = cli.problem_from_config(config)
-        reference, kind = cli._reference(config, bvp)
-        assert kind == "numerov"
+        if exact is not None:
+            reference = numerov_oracle(bvp, cli._ORACLE_POINTS).at
+        else:
+            reference, kind = cli._reference(config, bvp)
+            assert kind == "numerov"
         xm = cli._mid_window(bvp)
         truth = exact(xm) if exact is not None else numerov_oracle(bvp, 400_000).at(xm)
         fine = numerov_oracle(bvp, 100_000)

@@ -18,6 +18,7 @@ from klbasis.hydrogenic import (
     numerov_oracle,
     radial_norm,
     radial_wavefunction,
+    reduced_eigenstate,
     reduced_ground_state,
 )
 
@@ -180,6 +181,40 @@ class TestReducedGroundState:
         ypp = (y_f / b) * (x - 2.0) * np.exp(b - x)
         res = -0.5 * ypp - y / x + 0.5 * y
         assert np.max(np.abs(res) - 1e-10 * np.abs(0.5 * y)) <= 0.0
+
+
+class TestReducedEigenstate:
+    @pytest.mark.parametrize(
+        "n, l, Z, b",
+        [(1, 0, 1.0, 7.0), (2, 0, 1.0, 10.0), (2, 1, 1.0, 20.0), (3, 2, 1.0, 30.0),
+         (3, 1, 1.5, 12.0)],
+        ids=["1s", "2s", "2p", "3d", "3p-Z1.5"],
+    )
+    def test_is_the_scaled_reduced_orbital(self, n, l, Z, b):
+        orb = OrbitalSpec(n, l, Z)
+        x = np.linspace(0.0, b, 401)
+        exact = x * radial_wavefunction(orb, x)
+        y_f = float(exact[-1])
+        y = reduced_eigenstate(orb, b, y_f, x)
+        assert np.max(np.abs(y - exact)) <= 1e-13 * np.max(np.abs(exact))
+        assert reduced_eigenstate(orb, b, y_f, b) == pytest.approx(y_f, rel=1e-15)
+
+    def test_ground_state_case_keeps_the_ground_state_bits(self):
+        # the (1, 0, 1) case multiplies y_f (x/b) exp(b - x) by an exact 1.0
+        b, y_f = 7.0, 1e-4
+        x = np.linspace(0.0, b, 201)
+        y = reduced_eigenstate(OrbitalSpec(1, 0, 1.0), b, y_f, x)
+        assert np.array_equal(y, y_f * (x / b) * np.exp(b - x))
+
+    def test_boundary_on_a_node_raises(self):
+        # L_1^1(rho) = 2 - rho vanishes at rho = 2 kappa b = 2: 2s at b = 2
+        with pytest.raises(NumericalError, match="node of the 2s state"):
+            reduced_eigenstate(OrbitalSpec(2, 0), 2.0, 1e-4, np.linspace(0.0, 2.0, 5))
+
+    def test_overflow_raises(self):
+        # y_f (x/b) exp(b - x) passes 1e308 near the origin on [0, 1000]
+        with pytest.raises(NumericalError, match="1s reference overflows"):
+            reduced_ground_state(1000.0, 1e-4, np.linspace(0.0, 1000.0, 201))
 
 
 class TestNumerovOracle:
