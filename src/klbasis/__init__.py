@@ -20,7 +20,6 @@ from .hydrogenic import (
 from .sampling import (
     Grid,
     GridKind,
-    Representation,
     SampleMatrix,
     build_sample_matrix,
     make_grid,

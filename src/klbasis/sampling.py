@@ -1,7 +1,8 @@
 """Sampling grids and assembly of the wavefunction sample matrix.
 
 The sample matrix has one row per grid point and one column per orbital;
-column order follows the family order.
+column order follows the family order. Each column samples the reduced
+radial function x*R(x), the unknown the collocation solve expands.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from .hydrogenic import RadialFamily, family_values
 
 __all__ = [
     "GridKind",
-    "Representation",
     "Grid",
     "SampleMatrix",
     "make_grid",
@@ -28,13 +28,6 @@ __all__ = [
 class GridKind(str, enum.Enum):
     UNIFORM = "uniform"
     CHEBYSHEV_LOBATTO = "chebyshev-lobatto"
-
-
-class Representation(str, enum.Enum):
-    """What each column samples: R(x) itself, or the reduced form x*R(x)."""
-
-    R = "R"
-    RR = "rR"
 
 
 @dataclass(frozen=True)
@@ -103,21 +96,11 @@ class SampleMatrix:
             )
 
 
-def build_sample_matrix(
-    family: RadialFamily,
-    grid: Grid,
-    representation: Representation = Representation.RR,
-) -> SampleMatrix:
+def build_sample_matrix(family: RadialFamily, grid: Grid) -> SampleMatrix:
     """Sample every orbital of the family on the grid, the whole family in
-    one pass.
-
-    Representation R stores R_{nl}(x_i); rR stores x_i * R_{nl}(x_i), the
-    reduced radial form that vanishes at the origin.
-    """
-    representation = Representation(representation)
-    values = family_values(family, grid.points)
-    if representation is Representation.RR:
-        values = grid.points[:, None] * values
+    one pass: x_i * R_{nl}(x_i), the reduced radial form that vanishes at
+    the origin."""
+    values = grid.points[:, None] * family_values(family, grid.points)
     return SampleMatrix(values=values, grid=grid, family=family)
 
 

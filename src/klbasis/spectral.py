@@ -36,6 +36,7 @@ _BOUNDARY_WEIGHT = 1e6
 _BOUNDARY_TOL = 1e-8
 _NOT_FINITE = "the collocation matrix is not finite"  # LAPACK would raise LinAlgError
 _WEIGHT_NOT_FINITE = "the collocation row norms overflow"  # so would the weighted solve
+_WEIGHTED_NOT_FINITE = "the weighted boundary values overflow"  # gelsd would return NaN
 _NORM_NOT_FINITE = "the residual norm is not finite"
 _SCAN_POINTS = 201
 
@@ -262,8 +263,10 @@ def _solve_stack(problem: CollocationProblem, energies) -> list:
     boundary weight's scale) overflows, fails before LAPACK sees it; in a
     square stack one stacked SVD gates the others. The square matrices
     that pass the gate take one stacked `np.linalg.solve`, the rest one
-    stacked weighted least-squares call (`_lstsq`); each matrix gets the
-    bits its own `solve` or `lstsq` call would give. A non-square stack
+    stacked weighted least-squares call (`_lstsq`), unless their weighted
+    right-hand side overflows; each matrix gets the bits its own `solve`
+    or `lstsq` call would give. A solve counts only where both boundary
+    values come out within tolerance, so a NaN fails. A non-square stack
     takes singular values only for the failure messages of the matrices
     that miss their boundary values. The boundary checks and condition
     estimates are array operations over the stack, so Python only builds
@@ -287,33 +290,41 @@ def _solve_stack(problem: CollocationProblem, energies) -> list:
 
     # rows without singular values have NaN ones, which compare False
     direct = sv[:, -1] >= _SINGULAR_GATE * sv[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        weight = _BOUNDARY_WEIGHT * row_scale
+        # rhs is zero outside the boundary rows, so scaling all of it
+        # weights just those
+        rhs_w = weight[:, None] * rhs
     weighted = solvable & ~direct
+    overflow = weighted & ~np.isfinite(rhs_w).all(axis=-1)
+    weighted &= ~overflow
     coeffs = np.full((len(stack), m), np.nan)
     cond = np.full(len(stack), np.nan)
     if np.count_nonzero(direct):
         coeffs[direct] = np.linalg.solve(stack[direct], rhs)
         cond[direct] = sv[direct, 0] / sv[direct, -1]
     if np.count_nonzero(weighted):
-        weight = _BOUNDARY_WEIGHT * row_scale[weighted]
         Aw = stack[weighted]
-        Aw[:, -2:] *= weight[:, None, None]
-        # rhs is zero outside the boundary rows, so scaling all of it
-        # weights just those
-        coeffs[weighted], svw = _lstsq(Aw, weight[:, None] * rhs)
+        Aw[:, -2:] *= weight[weighted, None, None]
+        coeffs[weighted], svw = _lstsq(Aw, rhs_w[weighted])
         kept = svw >= _SINGULAR_GATE * svw[:, :1]
         cond[weighted] = svw[:, 0] / np.minimum.reduce(svw, axis=-1, where=kept, initial=np.inf)
 
     tol = _BOUNDARY_TOL * max(1.0, abs(problem.bvp.y_f))
-    y = (problem._boundary @ coeffs[..., None])[..., 0]
-    missed = (np.abs(y - rhs[-2:]) > tol).any(axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = (problem._boundary @ coeffs[..., None])[..., 0]
+        met = (np.abs(y - rhs[-2:]) <= tol).all(axis=-1)
+    missed = (direct | weighted) & ~met
     if not square and missed.any():
         sv[missed] = np.linalg.svd(stack[missed], compute_uv=False)
     results = []
-    rows = zip(solvable.tolist(), missed.tolist(), direct.tolist(), cond.tolist())
-    for k, (ok, miss, is_direct, cond_k) in enumerate(rows):
+    rows = zip(*(a.tolist() for a in (solvable, overflow, missed, direct, cond)))
+    for k, (ok, over, miss, is_direct, cond_k) in enumerate(rows):
         if not ok:
             finite = np.isfinite(stack[k]).all()
             results.append(NumericalError(_WEIGHT_NOT_FINITE if finite else _NOT_FINITE))
+        elif over:
+            results.append(NumericalError(_WEIGHTED_NOT_FINITE))
         elif miss:
             results.append(
                 NumericalError(

@@ -15,7 +15,7 @@ def reproduction_pipeline(family28):
     """The 28-orbital reproduction setup: N_s=20 uniform samples of the
     reduced wavefunctions on [0, 40], centered, with the full eigenbasis."""
     grid = sampling.make_grid(sampling.GridKind.UNIFORM, 20, 0.0, 40.0)
-    sample = sampling.build_sample_matrix(family28, grid, sampling.Representation.RR)
+    sample = sampling.build_sample_matrix(family28, grid)
     centered = klcore.center_columns(sample)
     cov = klcore.covariance(centered)
     basis = klcore.eig_sym(cov, grid=grid)

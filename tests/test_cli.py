@@ -87,6 +87,16 @@ class TestConfig:
         assert run(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 1
         assert not out.exists()
 
+    def test_sample_representation_key_rejected(self, tmp_path, capsys):
+        # samples are always x*R(x); the key that chose R(x) instead is gone
+        cfg = write_config(tmp_path, {"sampling": {"representation": "rR"}})
+        out = tmp_path / "out"
+        assert run(["gen-basis", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: unknown config key 'sampling.representation'\n"
+        )
+        assert not out.exists()
+
     def test_non_object_section_named_before_overrides(self, tmp_path, capsys):
         # --out-dir merges an "output" object; the file's non-object must be
         # reported as such, not as a key missing from the merged object
@@ -97,7 +107,8 @@ class TestConfig:
         assert not out.exists()
 
     def test_numerical_failure_exit_code(self, tmp_path):
-        # reduced-representation basis cannot meet a nonzero left boundary
+        # the basis samples x*R(x), which vanishes at the origin, so it cannot
+        # meet a nonzero left boundary
         cfg = write_config(tmp_path, {"problem": {"y_a": 1.0, "y_f": 1.0}})
         assert run(["solve", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
 
@@ -112,20 +123,18 @@ class TestConfig:
 
     @pytest.mark.parametrize("command", ["gen-basis", "solve"])
     def test_domain_too_narrow_to_differentiate(self, tmp_path, capsys, command):
-        # on nodes 1e-300 apart the derivative samples D^2 S overflow; the
-        # R samples are O(1) there (the rR ones, about r, give a covariance
-        # that underflows to zero)
-        cfg = write_config(
-            tmp_path,
-            {"sampling": {"b": 1e-300, "representation": "R"}, "problem": {"b": 1e-301}},
-        )
+        # on a 1e-155 span the derivative samples D^2 S of the unit
+        # eigenvectors, about 1/span^2, overflow; from a span of about 1e-162
+        # the samples (about 2r) give a covariance whose trace underflows to
+        # zero, and the trace gate fires instead
+        cfg = write_config(tmp_path, {"sampling": {"b": 1e-155}, "problem": {"b": 1e-156}})
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run([command, "--config", str(cfg), "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("numerical error: derivatives of the interpolant")
-        assert "[0.0, 1e-300]" in err
+        assert "[0.0, 1e-155]" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["solve", "scan-energy", "compare-bases"])
@@ -201,6 +210,30 @@ class TestConfig:
         # differently: y_f 3e-4 moves these figures by up to about 2.4e-8
         huge = np.array(figures(1e200, "huge"))
         assert np.max(np.abs(huge - default) / np.abs(default)) <= 1e-7
+
+    @pytest.mark.parametrize("command", ["solve", "scan-energy", "compare-bases"])
+    def test_boundary_value_that_overflows_the_weighted_rows(self, tmp_path, capsys, command):
+        # 1e6 times the row scale times y_f overflows in the weighted solve of
+        # the kl and monomial bases; the random basis solves directly, and its
+        # values overflow on the mid window
+        cfg = write_config(tmp_path, {"problem": {"y_f": 1e305}})
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run([command, "--config", str(cfg), "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        if command == "compare-bases":
+            assert code == 0
+            assert err == ""
+            _, rows = read_csv(out / "comparison.csv")
+            assert [row[3] for row in rows] == ["nan"] * 3
+        else:
+            assert code == 2
+            assert err == {
+                "solve": "numerical error: the weighted boundary values overflow\n",
+                "scan-energy": "numerical error: no scan point solved successfully\n",
+            }[command]
+            assert not out.exists()
 
     def test_scan_rows_whose_norm_overflows_fail(self, tmp_path, monkeypatch):
         # a row whose defect or solution is not finite has a norm that is
@@ -524,13 +557,12 @@ class TestSolve:
             {"sampling": {"N_s": 120}, "truncation": {"value": 30}},
             # fails on the residual-norm grid, after the mid window
             {
-                "family": {"n_max": 7},
-                "sampling": {"N_s": 80, "b": 20.0, "representation": "R"},
+                "sampling": {"N_s": 80, "b": 20.0},
                 "truncation": {"value": 6},
                 "problem": {"E": -0.95, "y_f": 1.0},
             },
         ],
-        ids=["N_s-120", "R-80-nodes"],
+        ids=["N_s-120", "80-nodes"],
     )
     def test_numerical_failure_writes_nothing(self, tmp_path, overrides):
         cfg = write_config(tmp_path, overrides)
@@ -719,7 +751,6 @@ def run_configs(draw):
             "kind": draw(st.sampled_from(["uniform", "chebyshev-lobatto"])),
             "N_s": n_s,
             "b": draw(st.sampled_from([20.0, 40.0, 1e60])),
-            "representation": draw(st.sampled_from(["R", "rR"])),
         },
         "truncation": truncation,
         "problem": {

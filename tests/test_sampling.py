@@ -16,7 +16,6 @@ from klbasis.hydrogenic import (
 from klbasis.sampling import (
     Grid,
     GridKind,
-    Representation,
     build_sample_matrix,
     make_grid,
     sample_matrix_csv_text,
@@ -86,10 +85,11 @@ class TestSampleMatrix:
         assert np.all(reproduction_pipeline["sample"].values[0] == 0.0)
 
     def test_single_orbital_column(self):
+        # x R_10(x) is 0 at the origin and R_10(1) = 2/e at x = 1
         fam = RadialFamily(orbitals=(OrbitalSpec(1, 0),))
         grid = make_grid(GridKind.UNIFORM, 2, 0.0, 1.0)
-        sm = build_sample_matrix(fam, grid, Representation.R)
-        assert sm.values[:, 0] == pytest.approx([2.0, 0.735758882342884], abs=1e-12)
+        sm = build_sample_matrix(fam, grid)
+        assert sm.values[:, 0] == pytest.approx([0.0, 0.7357588823428847], abs=1e-12)
 
     def test_column_permutation_equivariance(self):
         grid = make_grid(GridKind.UNIFORM, 7, 0.0, 20.0)
@@ -160,16 +160,12 @@ class TestFamilyPass:
         grid = make_grid(kind, n_s, 0.0, b)
         x = grid.points
         columns = [_loop_radial(orb, x) for orb in family.orbitals]
-        expected = {
-            Representation.R: np.column_stack(columns),
-            Representation.RR: np.column_stack([x * col for col in columns]),
-        }
-        for rep, want in expected.items():
-            values = build_sample_matrix(family, grid, rep).values
-            assert values.flags.c_contiguous
-            assert np.array_equal(values, want)
-            # far out a finite product that underflows keeps its sign: -0.0
-            assert np.array_equal(np.signbit(values), np.signbit(want))
+        want = np.column_stack([x * col for col in columns])
+        values = build_sample_matrix(family, grid).values
+        assert values.flags.c_contiguous
+        assert np.array_equal(values, want)
+        # far out a finite product that underflows keeps its sign: -0.0
+        assert np.array_equal(np.signbit(values), np.signbit(want))
         for orb, col in zip(family.orbitals, columns):
             assert np.array_equal(radial_wavefunction(orb, x), col)
 

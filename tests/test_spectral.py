@@ -41,19 +41,19 @@ def pipeline_case(overrides: dict):
 
 
 EXCITED_2P = {"problem": {"n": 2, "l": 1, "E": -0.125, "E_range": [-0.2, -0.05], "b": 20.0}}
-# 35 of the 41 default scan energies miss the boundary values (numerically
-# singular collocation matrix), so the scan has failed rows
+# a square 12 x 12 stack with sigma_min/sigma_max just above the 1e-14 gate
+# (2.1-2.8e-14), so every energy takes the direct solve, and 30 of the 41
+# default scan energies miss the boundary values: the scan has failed rows
 FAILING_ROWS = {
-    "family": {"n_max": 3},
-    "sampling": {"N_s": 20, "b": 80.0, "representation": "R"},
-    "truncation": {"value": 11},
-    "problem": {"l": 2, "n": 3, "y_a": 0.3, "y_f": 1.0},
+    "sampling": {"N_s": 16, "b": 80.0},
+    "truncation": {"value": 12},
+    "problem": {"a": 0.5, "b": 20.0, "y_a": 1e-4, "y_f": 1.0},
 }
 
 
 SCAN_CASES = pytest.mark.parametrize(
     "overrides, e_lo, e_hi, n_failed",
-    [({}, -0.7, -0.3, 0), (EXCITED_2P, -0.2, -0.05, 0), (FAILING_ROWS, -0.7, -0.3, 35)],
+    [({}, -0.7, -0.3, 0), (EXCITED_2P, -0.2, -0.05, 0), (FAILING_ROWS, -0.7, -0.3, 30)],
     ids=["1s", "2p", "failing-rows"],
 )
 
@@ -172,6 +172,34 @@ class TestSolve:
         # LAPACK would fail on it with a LinAlgError, which is no NumericalError
         problem = make_collocation_problem(replace(reproduction_bvp, E=np.inf), reproduction_funcs8)
         with pytest.raises(NumericalError, match="not finite"):
+            solve(problem)
+
+    def test_overflowing_weighted_rhs_is_a_numerical_error(
+        self, monkeypatch, reproduction_funcs8, reproduction_bvp
+    ):
+        # 1e6 times the row scale times y_f overflows; gelsd would return NaN
+        calls = []
+        monkeypatch.setattr(spectral, "_lstsq", lambda *a: calls.append(1))
+        bvp = replace(reproduction_bvp, y_f=1e305)
+        problem = make_collocation_problem(bvp, reproduction_funcs8)
+        with pytest.raises(NumericalError, match=f"^{spectral._WEIGHTED_NOT_FINITE}$"):
+            solve(problem)
+        assert calls == []
+
+    def test_nan_coefficients_miss_the_boundary_values(
+        self, monkeypatch, reproduction_funcs8, reproduction_bvp
+    ):
+        # a NaN boundary value compares False with the tolerance either way;
+        # only a value within it counts as met
+        lstsq = spectral._lstsq
+
+        def nan_solution(a, b):
+            x, sv = lstsq(a, b)
+            return np.full_like(x, np.nan), sv
+
+        monkeypatch.setattr(spectral, "_lstsq", nan_solution)
+        problem = make_collocation_problem(reproduction_bvp, reproduction_funcs8)
+        with pytest.raises(NumericalError, match="^boundary conditions not met"):
             solve(problem)
 
 
@@ -395,14 +423,17 @@ def per_matrix_solve(problem, A, rhs):
     else:
         weight = 1e6 * row_scale
         Aw, rw = A.copy(), rhs.copy()
-        Aw[-2:] *= weight
-        rw[-2:] *= weight
+        with np.errstate(over="ignore", invalid="ignore"):
+            Aw[-2:] *= weight
+            rw[-2:] *= weight
+        if not np.isfinite(rw).all():
+            return spectral._WEIGHTED_NOT_FINITE
         coeffs, _, _, svw = np.linalg.lstsq(Aw, rw, rcond=1e-14)
         kept = svw[svw >= 1e-14 * svw[0]]
         cond, method = float(svw[0] / kept[-1]), "least-squares"
     tol = 1e-8 * max(1.0, abs(bvp.y_f))
     y_a, y_b = problem._boundary @ coeffs
-    if abs(y_a - bvp.y_a) > tol or abs(y_b - bvp.y_f) > tol:
+    if not (abs(y_a - bvp.y_a) <= tol and abs(y_b - bvp.y_f) <= tol):
         return (
             "boundary conditions not met; the collocation matrix is numerically "
             f"singular as posed (sigma_min/sigma_max = {sv[-1] / sv[0]:.2e})"
@@ -424,8 +455,12 @@ class TestBatchedSolve:
             {"sampling": {"N_s": 120}, "truncation": {"value": 30}},
             # non-square, and every scan energy misses its boundary values
             {"problem": {**EXCITED_2P["problem"], "y_a": 0.3}},
+            # every weighted right-hand side overflows
+            {"problem": {"y_f": 1e305}},
         ],
-        ids=["default", "2p", "failing-rows", "n_max-200", "uniform-120-M30", "2p-y_a"],
+        ids=[
+            "default", "2p", "failing-rows", "n_max-200", "uniform-120-M30", "2p-y_a", "y_f-1e305"
+        ],
     )
     def test_bit_identical_to_per_matrix_lapack(self, overrides):
         config = cli.validate_config(overrides)
