@@ -82,8 +82,6 @@ def _one_of(*choices: str) -> Callable:
 
 
 def _energy_range(value, name: str) -> None:
-    if value is None:
-        return
     if not isinstance(value, list) or len(value) != 2:
         raise ConfigError(f"{name} must be [lo, hi], got {value!r}")
     if not _number(value[0], f"{name}[0]") < _number(value[1], f"{name}[1]"):
@@ -356,7 +354,7 @@ def cmd_solve(config: dict) -> Artifacts:
     """solve the boundary-value problem in the truncated basis"""
     pipe = run_pipeline(config)
     bvp = problem_from_config(config)
-    problem = spectral.make_collocation_problem(bvp, pipe.interpolant)
+    problem = spectral.CollocationProblem(bvp, pipe.interpolant)
     sol = spectral.solve(problem)
 
     xs = np.linspace(bvp.a, bvp.b, int(config["output"]["export_points"]))
@@ -399,8 +397,6 @@ def cmd_scan_energy(config: dict) -> Artifacts:
     """scan trial energies and locate the residual minimum"""
     prob = config["problem"]
     e_range = prob["E_range"]
-    if e_range is None:
-        raise ConfigError("scan-energy requires problem.E_range")
     pipe = run_pipeline(config)
     bvp = problem_from_config(config)
     scan = spectral.energy_scan(
@@ -456,7 +452,7 @@ def cmd_compare_bases(config: dict) -> Artifacts:
     for name, B, interpolant in candidates:
         mse = klcore.projection_mse(pipe.centered, B)
         try:
-            sol = spectral.solve(spectral.make_collocation_problem(bvp, interpolant))
+            sol = spectral.solve(spectral.CollocationProblem(bvp, interpolant))
             # a solution too large to evaluate has an error that is not finite
             with np.errstate(over="ignore", invalid="ignore"):
                 rel = _rel_l2_scaled(sol.eval(xm), refm)

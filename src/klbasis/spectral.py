@@ -19,10 +19,8 @@ from .hydrogenic import BoundaryValueProblem
 
 __all__ = [
     "CollocationProblem",
-    "AssembledSystem",
     "SpectralSolution",
     "EnergyScan",
-    "default_collocation_points",
     "make_collocation_problem",
     "assemble",
     "solve",
@@ -97,75 +95,49 @@ class _Tabulation:
 
 @dataclass(frozen=True)
 class CollocationProblem:
-    """A boundary-value problem, the basis to expand in, and the interior
-    points where the equation is imposed (the boundary rows are implied).
-    Construction tabulates the basis at the interior points and at a and
-    b; none of it depends on E."""
+    """A boundary-value problem and the basis to expand in. Construction
+    picks the interior points where the equation is imposed: the basis
+    nodes strictly inside (a, b) when they and the two boundary rows
+    determine the M coefficients, else M - 2 uniform ones (the usual case
+    for a basis built on a wider domain). It tabulates the basis there and
+    at a and b; none of it depends on E."""
 
     bvp: BoundaryValueProblem
     basis: BasisFunction
-    interior_points: np.ndarray
+    interior_points: np.ndarray = field(init=False)
     _interior: _Tabulation = field(init=False, repr=False, compare=False)
     _boundary: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pts = np.asarray(self.interior_points, dtype=float)
-        object.__setattr__(self, "interior_points", pts)
-        basis = self.basis
+        bvp, basis = self.bvp, self.basis
         if basis.samples.ndim != 2 or basis.samples.shape[1] == 0:
             raise ValueError("need an (N_s x M) basis with at least one mode")
-        if basis.a > self.bvp.a or basis.b < self.bvp.b:
+        if basis.a > bvp.a or basis.b < bvp.b:
             raise ValueError(
                 f"basis domain [{basis.a}, {basis.b}] does not cover problem domain "
-                f"[{self.bvp.a}, {self.bvp.b}]"
+                f"[{bvp.a}, {bvp.b}]"
             )
-        if np.any(pts <= self.bvp.a) or np.any(pts >= self.bvp.b):
-            raise ValueError("interior collocation points must lie strictly inside (a, b)")
-        if pts.size + 2 < self.n_modes:
-            raise ValueError(
-                f"{pts.size} interior points + 2 boundary rows under-determine "
-                f"{self.n_modes} coefficients"
-            )
-        object.__setattr__(self, "_interior", _Tabulation.at(self.bvp, basis, pts))
-        object.__setattr__(self, "_boundary", basis.eval([self.bvp.a, self.bvp.b]))
+        m = self.n_modes
+        pts = basis.nodes[(basis.nodes > bvp.a) & (basis.nodes < bvp.b)]
+        if pts.size + 2 < m:
+            pts = np.linspace(bvp.a, bvp.b, m)[1:-1]
+            # on a domain a few ulps wide the grid rounds onto a or b
+            if np.any(pts <= bvp.a) or np.any(pts >= bvp.b):
+                raise NumericalError(
+                    f"{m - 2} interior collocation points do not fit strictly inside "
+                    f"the problem domain [{bvp.a}, {bvp.b}]"
+                )
+        object.__setattr__(self, "interior_points", pts)
+        object.__setattr__(self, "_interior", _Tabulation.at(bvp, basis, pts))
+        object.__setattr__(self, "_boundary", basis.eval([bvp.a, bvp.b]))
 
     @property
     def n_modes(self) -> int:
         return self.basis.samples.shape[1]
 
 
-def default_collocation_points(bvp: BoundaryValueProblem, basis: BasisFunction) -> np.ndarray:
-    """Interior collocation points for a basis of M functions.
-
-    Prefers the basis functions' own interpolation nodes that fall
-    strictly inside (a, b); when those are too few to determine M
-    coefficients (the usual case when the basis was built on a wider
-    domain than the problem), a fresh uniform grid of M - 2 interior
-    points makes the system square.
-    """
-    m = basis.samples.shape[1]
-    nodes = basis.nodes
-    inside = nodes[(nodes > bvp.a) & (nodes < bvp.b)]
-    if inside.size + 2 >= m:
-        return inside
-    return np.linspace(bvp.a, bvp.b, m)[1:-1]
-
-
-def make_collocation_problem(
-    bvp: BoundaryValueProblem, basis: BasisFunction, interior_points=None
-) -> CollocationProblem:
-    if interior_points is None:
-        interior_points = default_collocation_points(bvp, basis)
-    return CollocationProblem(bvp=bvp, basis=basis, interior_points=interior_points)
-
-
-@dataclass(frozen=True)
-class AssembledSystem:
-    """Collocation matrix and right-hand side; interior rows first, then
-    the boundary rows at a and b."""
-
-    matrix: np.ndarray
-    rhs: np.ndarray
+# the name the library examples build a problem by
+make_collocation_problem = CollocationProblem
 
 
 def _stack(problem: CollocationProblem, energies) -> tuple[np.ndarray, np.ndarray]:
@@ -180,8 +152,9 @@ def _stack(problem: CollocationProblem, energies) -> tuple[np.ndarray, np.ndarra
     return stack, rhs
 
 
-def assemble(problem: CollocationProblem) -> AssembledSystem:
-    """Rows for interior points x_j:
+def assemble(problem: CollocationProblem) -> tuple[np.ndarray, np.ndarray]:
+    """The collocation matrix and right-hand side, interior rows first. Rows
+    for interior points x_j:
 
         A[j, i] = -phi_i''(x_j)/2 + [V(x_j) - E] phi_i(x_j),  rhs 0,
 
@@ -190,7 +163,7 @@ def assemble(problem: CollocationProblem) -> AssembledSystem:
     per call: the one-energy case of the stack `solve` and the scan build.
     """
     stack, rhs = _stack(problem, [problem.bvp.E])
-    return AssembledSystem(matrix=stack[0], rhs=rhs)
+    return stack[0], rhs
 
 
 @dataclass(frozen=True)
@@ -405,7 +378,7 @@ def energy_scan(
     if n_steps < 3:
         raise ValueError(f"need at least 3 scan steps, got {n_steps}")
     energies = np.linspace(e_lo, e_hi, n_steps)
-    problem = make_collocation_problem(bvp, basis)
+    problem = CollocationProblem(bvp, basis)
     dense = _Tabulation.at(bvp, basis, _scan_grid(bvp))
     coeffs = np.full((n_steps, problem.n_modes), np.nan)
     results = _solve_stack(problem, energies)

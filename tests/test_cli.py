@@ -87,6 +87,21 @@ class TestConfig:
         assert run(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["gen-basis", "solve", "scan-energy", "compare-bases"])
+    def test_null_energy_range_rejected(self, tmp_path, monkeypatch, capsys, command):
+        # every subcommand validates the same document, before any computation
+        def no_computation(config):
+            raise AssertionError("the pipeline ran")
+
+        monkeypatch.setattr(cli, "run_pipeline", no_computation)
+        cfg = write_config(tmp_path, {"problem": {"E_range": None}})
+        out = tmp_path / "out"
+        assert run([command, "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: problem.E_range must be [lo, hi], got None\n"
+        )
+        assert not out.exists()
+
     def test_sample_representation_key_rejected(self, tmp_path, capsys):
         # samples are always x*R(x); the key that chose R(x) instead is gone
         cfg = write_config(tmp_path, {"sampling": {"representation": "rR"}})
@@ -233,6 +248,29 @@ class TestConfig:
                 "solve": "numerical error: the weighted boundary values overflow\n",
                 "scan-energy": "numerical error: no scan point solved successfully\n",
             }[command]
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "scan-energy", "compare-bases"])
+    def test_domain_too_narrow_for_the_collocation_points(self, tmp_path, capsys, command):
+        # no basis node lies inside a domain one ulp wide, and the M - 2 = 6
+        # uniform points round onto its end points
+        cfg = write_config(tmp_path, {"problem": {"a": 5.0, "b": 5.000000000000001, "y_a": 1e-4}})
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run([command, "--config", str(cfg), "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        if command == "compare-bases":
+            assert code == 0
+            assert err == ""
+            _, rows = read_csv(out / "comparison.csv")
+            assert [row[3] for row in rows] == ["nan"] * 3
+        else:
+            assert code == 2
+            assert err == (
+                "numerical error: 6 interior collocation points do not fit strictly inside "
+                "the problem domain [5.0, 5.000000000000001]\n"
+            )
             assert not out.exists()
 
     def test_scan_rows_whose_norm_overflows_fail(self, tmp_path, monkeypatch):
