@@ -44,18 +44,23 @@ from .hydrogenic import (
 # ConfigError if the value is unusable; none rewrites the value.
 
 
+def _json(value) -> str:
+    """A config value as JSON writes it (null, true, "text"), for messages."""
+    return json.dumps(value, default=repr)
+
+
 def _number(value, name: str) -> float:
     """A finite JSON number, within a double's range; booleans are not
     numbers here."""
     finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     if isinstance(value, bool) or not finite:
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        raise ConfigError(f"{name} must be a finite number, got {_json(value)}")
     return float(value)
 
 
 def _integer(value, name: str) -> int:
     if not _number(value, name).is_integer():
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+        raise ConfigError(f"{name} must be an integer, got {_json(value)}")
     return int(value)
 
 
@@ -76,23 +81,23 @@ def _positive(value, name: str) -> None:
 def _one_of(*choices: str) -> Callable:
     def check(value, name: str) -> None:
         if value not in choices:
-            raise ConfigError(f"unknown {name} {value!r}")
+            raise ConfigError(f"unknown {name} {_json(value)}")
 
     return check
 
 
 def _energy_range(value, name: str) -> None:
     if not isinstance(value, list) or len(value) != 2:
-        raise ConfigError(f"{name} must be [lo, hi], got {value!r}")
+        raise ConfigError(f"{name} must be [lo, hi], got {_json(value)}")
     if not _number(value[0], f"{name}[0]") < _number(value[1], f"{name}[1]"):
-        raise ConfigError(f"{name} must have lo < hi, got {value}")
+        raise ConfigError(f"{name} must have lo < hi, got {_json(value)}")
 
 
 def _directory(value, name: str) -> None:
     """A string naming a directory that exists or can be created: neither
     it nor any parent may be an existing non-directory."""
     if not isinstance(value, str):
-        raise ConfigError(f"{name} must be a string, got {value!r}")
+        raise ConfigError(f"{name} must be a string, got {_json(value)}")
     for path in (Path(value), *Path(value).parents):
         if path.exists() and not path.is_dir():
             raise ConfigError(f"{name} cannot be created: {path} exists and is not a directory")

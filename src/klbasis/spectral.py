@@ -1,9 +1,9 @@
 """Collocation solver for the regularized radial boundary-value problem
 in a truncated basis of interpolated modes.
 
-The unknown is expanded as y(x) = sum_i c_i phi_i(x); the differential
-equation is imposed at interior collocation points and the two boundary
-values close the system.
+The unknown is expanded as y(x) = sum_i c_i phi_i(x); the two boundary
+values are imposed exactly, and the differential equation in the least-
+squares sense at interior collocation points.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .basisfn import BasisFunction
 from .errors import NumericalError
@@ -29,12 +28,9 @@ __all__ = [
     "energy_scan",
 ]
 
-_SINGULAR_GATE = 1e-14
-_BOUNDARY_WEIGHT = 1e6
+_CUT = 1e-14
 _BOUNDARY_TOL = 1e-8
-_NOT_FINITE = "the collocation matrix is not finite"  # LAPACK would raise LinAlgError
-_WEIGHT_NOT_FINITE = "the collocation row norms overflow"  # so would the weighted solve
-_WEIGHTED_NOT_FINITE = "the weighted boundary values overflow"  # gelsd would return NaN
+_NOT_FINITE = "the collocation system is not finite"  # the SVD would raise LinAlgError
 _NORM_NOT_FINITE = "the residual norm is not finite"
 _SCAN_POINTS = 201
 
@@ -46,6 +42,12 @@ def _pow2_scaled(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     to the bit, and no square of it overflows."""
     _, exp = np.frexp(np.max(np.abs(v), axis=-1, keepdims=True, initial=0.0))
     return np.ldexp(v, -exp), exp[..., 0]
+
+
+def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a @ v for each vector of a stack v, as a stack of mat-vec
+    products, which keep the bits of single calls."""
+    return (a @ v[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -70,12 +72,11 @@ class _Tabulation:
 
     def defect(self, coefficients: np.ndarray, energy) -> tuple[np.ndarray, np.ndarray]:
         """The defect -y''/2 + (V - E) y of y = phi c at the points, and y.
-        For (K, M) coefficients, (K, points) stacks of mat-vec products, which
-        keep the bits of K single calls (a (points, M) @ (M, K) gemm would not)."""
-        c = np.asarray(coefficients)[..., None]
-        y = (self.values @ c)[..., 0]
+        For (K, M) coefficients, (K, points) stacks (`_matvec`: a
+        (points, M) @ (M, K) gemm would not keep the bits of K single calls)."""
+        y = _matvec(self.values, coefficients)
         shift = self.potential - np.asarray(energy)[..., None]
-        return -0.5 * (self.second @ c)[..., 0] + shift * y, y
+        return -0.5 * _matvec(self.second, coefficients) + shift * y, y
 
     def relative_norm(self, coefficients: np.ndarray, energy) -> np.ndarray:
         """RMS of the defect over the RMS of y, per row; the plain RMS
@@ -100,13 +101,21 @@ class CollocationProblem:
     nodes strictly inside (a, b) when they and the two boundary rows
     determine the M coefficients, else M - 2 uniform ones (the usual case
     for a basis built on a wider domain). It tabulates the basis there and
-    at a and b; none of it depends on E."""
+    at a and b, and solves the boundary rows B c = (y_a, y_f) once: their
+    SVD gives the pseudo-inverse B+, the minimum-norm coefficients
+    c_p = B+ (y_a, y_f) and the null space N of B. The rank counts the
+    singular values above 1e-14 of the largest mode sample, so a row that
+    is zero on the modes' own scale (y(0) of rR modes) removes no
+    direction. None of it depends on E."""
 
     bvp: BoundaryValueProblem
     basis: BasisFunction
     interior_points: np.ndarray = field(init=False)
     _interior: _Tabulation = field(init=False, repr=False, compare=False)
     _boundary: np.ndarray = field(init=False, repr=False, compare=False)
+    _pinv: np.ndarray = field(init=False, repr=False, compare=False)
+    _particular: np.ndarray = field(init=False, repr=False, compare=False)
+    _null: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bvp, basis = self.bvp, self.basis
@@ -127,9 +136,18 @@ class CollocationProblem:
                     f"{m - 2} interior collocation points do not fit strictly inside "
                     f"the problem domain [{bvp.a}, {bvp.b}]"
                 )
+        boundary = basis.eval([bvp.a, bvp.b])
+        u, s, vt = np.linalg.svd(boundary)
+        rank = int(np.count_nonzero(s > _CUT * np.max(np.abs(basis.samples))))
+        pinv = vt[:rank].T / s[:rank] @ u[:, :rank].T
+        with np.errstate(over="ignore", invalid="ignore"):
+            particular = pinv @ [bvp.y_a, bvp.y_f]
         object.__setattr__(self, "interior_points", pts)
         object.__setattr__(self, "_interior", _Tabulation.at(bvp, basis, pts))
-        object.__setattr__(self, "_boundary", basis.eval([bvp.a, bvp.b]))
+        object.__setattr__(self, "_boundary", boundary)
+        object.__setattr__(self, "_pinv", pinv)
+        object.__setattr__(self, "_particular", particular)
+        object.__setattr__(self, "_null", vt[rank:].T)
 
     @property
     def n_modes(self) -> int:
@@ -140,18 +158,6 @@ class CollocationProblem:
 make_collocation_problem = CollocationProblem
 
 
-def _stack(problem: CollocationProblem, energies) -> tuple[np.ndarray, np.ndarray]:
-    """`assemble`'s matrix at K energies as one (K, rows, M) stack, and its rhs."""
-    interior = problem._interior.operator(energies)
-    k, n_interior, m = interior.shape
-    stack = np.empty((k, n_interior + 2, m))
-    stack[:, :-2] = interior
-    stack[:, -2:] = problem._boundary
-    rhs = np.zeros(n_interior + 2)
-    rhs[-2:] = problem.bvp.y_a, problem.bvp.y_f
-    return stack, rhs
-
-
 def assemble(problem: CollocationProblem) -> tuple[np.ndarray, np.ndarray]:
     """The collocation matrix and right-hand side, interior rows first. Rows
     for interior points x_j:
@@ -160,10 +166,12 @@ def assemble(problem: CollocationProblem) -> tuple[np.ndarray, np.ndarray]:
 
     with V the regularized potential; then one row per boundary condition
     pinning y(a) = y_a and y(b) = y_f. Only the (V - E) diagonal is formed
-    per call: the one-energy case of the stack `solve` and the scan build.
+    per call.
     """
-    stack, rhs = _stack(problem, [problem.bvp.E])
-    return stack[0], rhs
+    interior = problem._interior.operator(problem.bvp.E)
+    rhs = np.zeros(len(interior) + 2)
+    rhs[-2:] = problem.bvp.y_a, problem.bvp.y_f
+    return np.vstack((interior, problem._boundary)), rhs
 
 
 @dataclass(frozen=True)
@@ -183,25 +191,19 @@ class SpectralSolution:
 
 
 def solve(problem: CollocationProblem) -> SpectralSolution:
-    """Solve the collocation system for the coefficients.
+    """Solve the collocation system for the coefficients: the one-energy
+    case of `energy_scan`'s stacked path.
 
-    The one-energy case of `energy_scan`'s stacked path: per call only the
-    (V - E) diagonal is formed, a square matrix gated by its singular values,
-    solved by the same stacked LAPACK call a scan makes for all of its
-    energies, and its boundary values checked against the problem's.
-
-    A square system goes through a direct partial-pivoting solve. An
-    overdetermined one is solved in the least-squares sense with the two
-    boundary rows weighted by 1e6 times the largest interior row norm, so
-    the boundary conditions hold essentially exactly. A square system
-    whose smallest singular value falls below 1e-14 of the largest is
-    rank-deficient as posed (a basis whose members all satisfy one
-    boundary condition produces a vacuous row); it is re-solved as the
-    weighted minimum-norm least-squares problem, and the solve only
-    counts as successful if the boundary values come out right.
-
-    The condition estimate is the ratio of the extreme singular values
-    of the solved matrix, ignoring singular values under the 1e-14 gate.
+    The boundary values are imposed exactly (the null-space method for
+    equality-constrained least squares): c = c_p + N z, with c_p and N from
+    the problem's boundary rows, and z the minimum-norm least-squares
+    solution of the interior rows A N z = -A c_p, singular values of A N
+    below 1e-14 of the largest cut. One correction c += B+ (t - B c)
+    removes the rounding left in the boundary values, and the solve only
+    counts if both then lie within 1e-8 (times |y_f| when larger) of the
+    problem's. The method is "direct" when A N is square and nothing is
+    cut, else "least-squares"; the condition estimate is the ratio of the
+    extreme kept singular values of A N.
     """
     result = _solve_stack(problem, [problem.bvp.E])[0]
     if isinstance(result, NumericalError):
@@ -210,103 +212,60 @@ def solve(problem: CollocationProblem) -> SpectralSolution:
     return SpectralSolution(coeffs, cond, problem, method)
 
 
-def _lstsq_failed(err, flag):
-    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
-
-
-def _lstsq(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`np.linalg.lstsq(a[k], b[k], rcond=1e-14)` for every k of a (K, rows, M)
-    stack: the (K, M) solutions and the (K, min(rows, M)) singular values.
-
-    It calls the LAPACK gelsd gufunc that `lstsq` itself calls, broadcast over
-    the stack, so each row keeps the bits of its single call, and it raises
-    `LinAlgError` on a LAPACK failure as `lstsq` does."""
-    with np.errstate(
-        call=_lstsq_failed, invalid="call", over="ignore", divide="ignore", under="ignore"
-    ):
-        x, _, _, sv = _umath_linalg.lstsq(a, b[..., None], _SINGULAR_GATE, signature="ddd->ddid")
-    return x[..., 0], sv
-
-
 def _solve_stack(problem: CollocationProblem, energies) -> list:
     """Per energy, (coefficients, condition estimate, method) or the
     `NumericalError` that stopped it.
 
-    A matrix that is not finite, or whose largest interior row norm (the
-    boundary weight's scale) overflows, fails before LAPACK sees it; in a
-    square stack one stacked SVD gates the others. The square matrices
-    that pass the gate take one stacked `np.linalg.solve`, the rest one
-    stacked weighted least-squares call (`_lstsq`), unless their weighted
-    right-hand side overflows; each matrix gets the bits its own `solve`
-    or `lstsq` call would give. A solve counts only where both boundary
-    values come out within tolerance, so a NaN fails. A non-square stack
-    takes singular values only for the failure messages of the matrices
-    that miss their boundary values. The boundary checks and condition
+    An energy whose reduced system A N, -A c_p is not finite fails before
+    LAPACK sees it; the others take one stacked SVD, whose matrices each
+    keep the bits of their own call. The boundary checks and condition
     estimates are array operations over the stack, so Python only builds
     the result list and the failure messages."""
-    stack, rhs = _stack(problem, energies)
-    n_rows, m = stack.shape[1:]
-    if n_rows > 2:
-        interior = stack[:, :-2]
-        # np.linalg.norm's own formula for row 2-norms, without its call overhead
-        with np.errstate(over="ignore"):
-            row_scale = np.sqrt((interior * interior).sum(axis=-1)).max(axis=-1)
-    else:
-        row_scale = np.ones(len(stack))
-    # the basis values at a and b are finite (BasisFunction raises otherwise),
-    # so a NaN or inf entry of a matrix makes its row scale non-finite too
-    solvable = np.isfinite(row_scale)
-    square = n_rows == m
-    sv = np.full((len(stack), min(n_rows, m)), np.nan)
-    if square:
-        sv[solvable] = np.linalg.svd(stack[solvable], compute_uv=False)
-
-    # rows without singular values have NaN ones, which compare False
-    direct = sv[:, -1] >= _SINGULAR_GATE * sv[:, 0]
+    bvp, null, pinv = problem.bvp, problem._null, problem._pinv
+    a = problem._interior.operator(energies)
     with np.errstate(over="ignore", invalid="ignore"):
-        weight = _BOUNDARY_WEIGHT * row_scale
-        # rhs is zero outside the boundary rows, so scaling all of it
-        # weights just those
-        rhs_w = weight[:, None] * rhs
-    weighted = solvable & ~direct
-    overflow = weighted & ~np.isfinite(rhs_w).all(axis=-1)
-    weighted &= ~overflow
-    coeffs = np.full((len(stack), m), np.nan)
-    cond = np.full(len(stack), np.nan)
-    if np.count_nonzero(direct):
-        coeffs[direct] = np.linalg.solve(stack[direct], rhs)
-        cond[direct] = sv[direct, 0] / sv[direct, -1]
-    if np.count_nonzero(weighted):
-        Aw = stack[weighted]
-        Aw[:, -2:] *= weight[weighted, None, None]
-        coeffs[weighted], svw = _lstsq(Aw, rhs_w[weighted])
-        kept = svw >= _SINGULAR_GATE * svw[:, :1]
-        cond[weighted] = svw[:, 0] / np.minimum.reduce(svw, axis=-1, where=kept, initial=np.inf)
+        reduced = a @ null
+        rhs = -_matvec(a, problem._particular)
+    k, rows, cols = reduced.shape
+    finite = np.isfinite(reduced).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1)
+    z = np.zeros((k, cols))
+    cond = np.ones(k)
+    direct = np.full(k, rows == cols)
+    if rows and cols and finite.any():
+        try:
+            u, s, vt = np.linalg.svd(reduced[finite], full_matrices=False)
+        except np.linalg.LinAlgError as err:
+            raise NumericalError(f"collocation SVD failed: {err}") from err
+        kept = s > _CUT * s[:, :1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
+            ut_r = _matvec(u.swapaxes(-1, -2), rhs[finite])
+            z[finite] = _matvec(vt.swapaxes(-1, -2), s_inv * ut_r)
+        cond[finite] = s[:, 0] / np.minimum.reduce(s, axis=-1, where=kept, initial=np.inf)
+        direct[finite] &= kept.all(axis=-1)
 
-    tol = _BOUNDARY_TOL * max(1.0, abs(problem.bvp.y_f))
+    target = np.array([bvp.y_a, bvp.y_f])
+    tol = _BOUNDARY_TOL * max(1.0, abs(bvp.y_f))
     with np.errstate(over="ignore", invalid="ignore"):
-        y = (problem._boundary @ coeffs[..., None])[..., 0]
-        met = (np.abs(y - rhs[-2:]) <= tol).all(axis=-1)
-    missed = (direct | weighted) & ~met
-    if not square and missed.any():
-        sv[missed] = np.linalg.svd(stack[missed], compute_uv=False)
+        coeffs = problem._particular + _matvec(null, z)
+        coeffs += _matvec(pinv, target - _matvec(problem._boundary, coeffs))
+        met = (np.abs(_matvec(problem._boundary, coeffs) - target) <= tol).all(axis=-1)
+    rank = null.shape[0] - cols
     results = []
-    rows = zip(*(a.tolist() for a in (solvable, overflow, missed, direct, cond)))
-    for k, (ok, over, miss, is_direct, cond_k) in enumerate(rows):
+    for c, ok, hit, cond_k, is_direct in zip(
+        coeffs, finite.tolist(), met.tolist(), cond.tolist(), direct.tolist()
+    ):
         if not ok:
-            finite = np.isfinite(stack[k]).all()
-            results.append(NumericalError(_WEIGHT_NOT_FINITE if finite else _NOT_FINITE))
-        elif over:
-            results.append(NumericalError(_WEIGHTED_NOT_FINITE))
-        elif miss:
+            results.append(NumericalError(_NOT_FINITE))
+        elif not hit:
             results.append(
                 NumericalError(
-                    f"boundary conditions not met; the collocation matrix is numerically "
-                    f"singular as posed (sigma_min/sigma_max = {sv[k, -1] / sv[k, 0]:.2e})"
+                    f"boundary conditions not met (boundary rank {rank} of 2, "
+                    f"interior condition estimate {cond_k:.2e})"
                 )
             )
         else:
-            results.append((coeffs[k], cond_k, "direct" if is_direct else "least-squares"))
+            results.append((c, cond_k, "direct" if is_direct else "least-squares"))
     return results
 
 
@@ -362,10 +321,9 @@ def energy_scan(
     The basis is evaluated once per scan, not per energy: the collocation
     problem and the dense grid's basis values, second derivatives and
     potential are built first. The K systems take the stacked path whose
-    one-energy case is `solve`: one (K, rows, M) stack, one row-norm gate
-    and, for square matrices, one SVD gate, then one stacked direct solve
-    and one stacked weighted least-squares call, each over the matrices that
-    take that path. The K residual norms are one stack of mat-vec products.
+    one-energy case is `solve`: one (K, rows, M) stack of interior rows,
+    reduced to the boundary rows' null space, and one stacked SVD. The K
+    residual norms are one stack of mat-vec products.
     A failed solve, or a residual norm that is not finite (its squares
     overflow), marks its row 'failed: <reason>' and its norm NaN.
 

@@ -14,6 +14,7 @@ from conftest import count_kernel_calls
 
 from klbasis import cli, klcore
 from klbasis.csvio import read_csv
+from klbasis.errors import ConfigError
 from klbasis.hydrogenic import OrbitalSpec, numerov_oracle, radial_wavefunction
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -98,9 +99,33 @@ class TestConfig:
         out = tmp_path / "out"
         assert run([command, "--config", str(cfg), "--out-dir", str(out)]) == 1
         assert capsys.readouterr().err == (
-            "config error: problem.E_range must be [lo, hi], got None\n"
+            "config error: problem.E_range must be [lo, hi], got null\n"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"problem": {"E": None}}, "problem.E must be a finite number, got null"),
+            ({"problem": {"y_f": True}}, "problem.y_f must be a finite number, got true"),
+            ({"problem": {"E": "-0.5"}}, 'problem.E must be a finite number, got "-0.5"'),
+            ({"family": {"n_max": 2.5}}, "family.n_max must be an integer, got 2.5"),
+            ({"sampling": {"kind": None}}, "unknown sampling.kind null"),
+            ({"sampling": {"kind": "gauss"}}, 'unknown sampling.kind "gauss"'),
+            ({"problem": {"E_range": True}}, "problem.E_range must be [lo, hi], got true"),
+            (
+                {"problem": {"E_range": [-0.3, -0.7]}},
+                "problem.E_range must have lo < hi, got [-0.3, -0.7]",
+            ),
+            ({"output": {"directory": None}}, "output.directory must be a string, got null"),
+        ],
+        ids=["null", "true", "string", "integer", "one-of-null", "one-of-string",
+             "range-true", "range-order", "directory-null"],
+    )
+    def test_offending_value_echoed_as_json(self, overrides, message):
+        with pytest.raises(ConfigError) as err:
+            cli.validate_config(overrides)
+        assert str(err.value) == message
 
     def test_sample_representation_key_rejected(self, tmp_path, capsys):
         # samples are always x*R(x); the key that chose R(x) instead is gone
@@ -153,22 +178,24 @@ class TestConfig:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["solve", "scan-energy", "compare-bases"])
-    def test_domain_too_narrow_to_weight_the_boundary(self, tmp_path, capsys, command):
-        # the derivative samples (about 1/span^2) stay finite, but the
-        # interior row norms that scale the boundary weight overflow
+    def test_narrow_domain_with_huge_interior_rows_solves(self, tmp_path, capsys, command):
+        # the derivative samples (about 1/span^2) stay finite, and the squares
+        # of the interior rows overflow; no step of the solve squares them
         cfg = write_config(tmp_path, {"sampling": {"b": 1e-140}, "problem": {"b": 1e-141}})
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = run([command, "--config", str(cfg), "--out-dir", str(out)])
-        if command == "compare-bases":
-            assert code == 0
-            _, rows = read_csv(out / "comparison.csv")
-            assert [row[3] for row in rows] == ["nan"] * 3
+            assert run([command, "--config", str(cfg), "--out-dir", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        if command == "solve":
+            rel = read_json(out / "report.json")["rel_l2_error_mid"]
+            assert rel == pytest.approx(7.64e-4, rel=1e-2)
+        elif command == "scan-energy":
+            _, rows = read_csv(out / "scan.csv")
+            assert all(r[2] == "ok" and math.isfinite(float(r[1])) for r in rows)
         else:
-            assert code == 2
-            assert capsys.readouterr().err.startswith("numerical error: ")
-            assert not out.exists()
+            _, rows = read_csv(out / "comparison.csv")
+            assert all(math.isfinite(float(row[3])) for row in rows)
 
     @pytest.mark.parametrize(
         "command, code", [("gen-basis", 2), ("solve", 2), ("scan-energy", 2), ("compare-bases", 2)]
@@ -222,33 +249,72 @@ class TestConfig:
         assert len(default) == 3 + 1 + 41 + 3
         assert np.array_equal(figures(math.ldexp(1e-4, 700), "pow2"), default)
         # a y_f that is not a power-of-two multiple rounds the solve itself
-        # differently: y_f 3e-4 moves these figures by up to about 2.4e-8
+        # differently: y_f 3e-4 moves these figures by up to about 2.3e-11
+        # (the monomial basis's solve error; rel_l2_error_mid by 2.4e-13)
         huge = np.array(figures(1e200, "huge"))
         assert np.max(np.abs(huge - default) / np.abs(default)) <= 1e-7
 
+    def test_rel_error_linear_in_boundary_value(self):
+        # y_f only scales the solution, and the error is taken after a scale fit
+        def rel(y_f):
+            report = cli.cmd_solve(cli.validate_config({"problem": {"y_f": y_f}}))
+            return report["report.json"]["rel_l2_error_mid"]
+
+        assert rel(3e-4) == pytest.approx(rel(1e-4), rel=1e-12, abs=0)
+
     @pytest.mark.parametrize("command", ["solve", "scan-energy", "compare-bases"])
-    def test_boundary_value_that_overflows_the_weighted_rows(self, tmp_path, capsys, command):
-        # 1e6 times the row scale times y_f overflows in the weighted solve of
-        # the kl and monomial bases; the random basis solves directly, and its
-        # values overflow on the mid window
-        cfg = write_config(tmp_path, {"problem": {"y_f": 1e305}})
+    def test_huge_boundary_value_solves(self, tmp_path, capsys, command):
+        # 1e305 is within a factor 1e3 of overflow; the boundary values are
+        # imposed exactly and only the solution scales with y_f, so the run
+        # reports the default's figures
+        figures = {}
+        for name, y_f in (("default", 1e-4), ("huge", 1e305)):
+            cfg = write_config(tmp_path, {"problem": {"y_f": y_f}}, f"{name}.json")
+            out = tmp_path / name
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run([command, "--config", str(cfg), "--out-dir", str(out)]) == 0
+            assert "numerical error" not in capsys.readouterr().err
+            for path in out.glob("[rs]*.csv"):  # solution, residual or scan
+                _, rows = read_csv(path)
+                cells = [c for r in rows for c in (r[:2] if path.name == "scan.csv" else r)]
+                assert all(math.isfinite(float(c)) for c in cells), path
+            if command == "compare-bases":
+                _, rows = read_csv(out / "comparison.csv")
+                figures[name] = float(rows[0][3])  # the kl basis
+            else:
+                key = "rel_l2_error_mid" if command == "solve" else "argmin_energy"
+                figures[name] = read_json(out / "report.json")[key]
+        assert figures["huge"] == pytest.approx(figures["default"], rel=1e-11, abs=0)
+
+    @pytest.mark.parametrize("command", ["solve", "scan-energy"])
+    @pytest.mark.parametrize(
+        "problem, message",
+        [
+            # the interior rows times c_p overflow
+            (
+                {"E": -1e300, "E_range": [-1e300, -1e299], "y_f": 1e10},
+                "the collocation system is not finite",
+            ),
+            # c_p and A c_p are finite, the coefficients are not
+            ({"y_f": 1e308}, "boundary conditions not met (boundary rank 1 of 2, "),
+        ],
+        ids=["A-c_p", "coefficients"],
+    )
+    def test_boundary_value_whose_solution_overflows(
+        self, tmp_path, capsys, command, problem, message
+    ):
+        cfg = write_config(tmp_path, {"problem": problem})
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = run([command, "--config", str(cfg), "--out-dir", str(out)])
+            assert run([command, "--config", str(cfg), "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err
-        if command == "compare-bases":
-            assert code == 0
-            assert err == ""
-            _, rows = read_csv(out / "comparison.csv")
-            assert [row[3] for row in rows] == ["nan"] * 3
+        if command == "solve":
+            assert err.startswith(f"numerical error: {message}")
         else:
-            assert code == 2
-            assert err == {
-                "solve": "numerical error: the weighted boundary values overflow\n",
-                "scan-energy": "numerical error: no scan point solved successfully\n",
-            }[command]
-            assert not out.exists()
+            assert err == "numerical error: no scan point solved successfully\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["solve", "scan-energy", "compare-bases"])
     def test_domain_too_narrow_for_the_collocation_points(self, tmp_path, capsys, command):
@@ -465,7 +531,7 @@ class TestSolve:
         cfg = write_config(tmp_path, {"family": {"n_max": 200}})
         out = tmp_path / "out"
         assert run(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 0
-        assert read_json(out / "report.json")["rel_l2_error_mid"] == 0.04904603824761954
+        assert read_json(out / "report.json")["rel_l2_error_mid"] == 0.04904602794605435
 
     def test_zero_boundary_solution(self, tmp_path):
         cfg = write_config(tmp_path, {"problem": {"y_f": 0.0}})
@@ -528,7 +594,7 @@ class TestSolve:
         report = read_json(tmp_path / "solve" / "report.json")
         assert report["reference"] == "closed-form"
         # the exact 2p solution x^2 e^{-x/2}, as in the test below
-        exact = 0.0030768370346592644
+        exact = 0.0030768368666138014
         assert abs(report["rel_l2_error_mid"] - exact) <= 1e-14 * exact
 
     @pytest.mark.parametrize(
@@ -561,7 +627,7 @@ class TestSolve:
 
     def test_excited_state_error_against_exact_solution(self, tmp_path):
         # the same metric computed against the exact 2p solution x^2 e^{-x/2}
-        exact = 0.0030768370346592644
+        exact = 0.0030768368666138014
         cfg = write_config(tmp_path, {"problem": {"n": 2, "l": 1, "E": -0.125, "b": 20.0}})
         out = tmp_path / "out"
         assert run(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 0
@@ -713,10 +779,10 @@ class TestCompareBases:
     @pytest.mark.parametrize(
         "overrides, expected",
         [
-            ({}, 0.0419321543286789),
+            ({}, 0.04193221956740139),
             (
                 {"problem": {"n": 2, "l": 1, "E": -0.125, "E_range": [-0.2, -0.05], "b": 20.0}},
-                0.003076837034640566,
+                0.0030768368666138014,
             ),
         ],
         ids=["default", "excited2p"],

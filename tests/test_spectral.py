@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -41,17 +42,20 @@ def pipeline_case(overrides: dict):
 
 
 EXCITED_2P = {"problem": {"n": 2, "l": 1, "E": -0.125, "E_range": [-0.2, -0.05], "b": 20.0}}
-# a square 12 x 12 stack with sigma_min/sigma_max just above the 1e-14 gate
-# (2.1-2.8e-14), so every energy takes the direct solve, and 30 of the 41
-# default scan energies miss the boundary values: the scan has failed rows
+# 12 modes on a domain that misses the origin: rank-2 boundary rows leave a
+# square 10 x 10 interior system A N with condition 3.9e11-6.7e11, so every
+# energy solves directly, to coefficients of 5e6-3e7 whose rounding leaves
+# the boundary values of 28 of the 41 default scan energies more than 1e-8
+# off: the scan has failed rows
 FAILING_ROWS = {
     "sampling": {"N_s": 16, "b": 80.0},
     "truncation": {"value": 12},
     "problem": {"a": 0.5, "b": 20.0, "y_a": 1e-4, "y_f": 1.0},
 }
 
-# a square 20 x 20 system that passes the singular-value gate and takes
-# the direct solve, good to 3.1e-7 on the mid window
+# 20 modes and rank-2 boundary rows leave a square 18 x 18 interior system
+# A N with no singular value cut: the direct solve, good to 3.1e-7 on the
+# mid window
 DIRECT_PATH = {
     "family": {"n_max": 6},
     "sampling": {"N_s": 22, "b": 10.0},
@@ -62,7 +66,7 @@ DIRECT_PATH = {
 
 SCAN_CASES = pytest.mark.parametrize(
     "overrides, e_lo, e_hi, n_failed",
-    [({}, -0.7, -0.3, 0), (EXCITED_2P, -0.2, -0.05, 0), (FAILING_ROWS, -0.7, -0.3, 30)],
+    [({}, -0.7, -0.3, 0), (EXCITED_2P, -0.2, -0.05, 0), (FAILING_ROWS, -0.7, -0.3, 28)],
     ids=["1s", "2p", "failing-rows"],
 )
 
@@ -147,8 +151,7 @@ class TestSolve:
         assert rel == pytest.approx(0.0419, abs=0.01)
 
     def test_square_system_keeps_the_direct_solve(self):
-        # why a square system that passes the singular-value gate is solved
-        # directly: the weighted least-squares path gives 2.5e-3 here
+        # a square A N with no singular value cut reports the direct method
         report = cli.cmd_solve(cli.validate_config(DIRECT_PATH))["report.json"]
         assert report["method"] == "direct"
         assert report["rel_l2_error_mid"] <= 1e-6
@@ -184,15 +187,16 @@ class TestSolve:
         with pytest.raises(NumericalError, match="not finite"):
             solve(problem)
 
-    def test_overflowing_weighted_rhs_is_a_numerical_error(
+    def test_overflowing_particular_solution_is_a_numerical_error(
         self, monkeypatch, reproduction_funcs8, reproduction_bvp
     ):
-        # 1e6 times the row scale times y_f overflows; gelsd would return NaN
-        calls = []
-        monkeypatch.setattr(spectral, "_lstsq", lambda *a: calls.append(1))
-        bvp = replace(reproduction_bvp, y_f=1e305)
+        # at E = -1e300 the interior rows times c_p overflow; the SVD would
+        # raise LinAlgError on them
+        bvp = replace(reproduction_bvp, E=-1e300, y_f=1e10)
         problem = make_collocation_problem(bvp, reproduction_funcs8)
-        with pytest.raises(NumericalError, match=f"^{spectral._WEIGHTED_NOT_FINITE}$"):
+        calls = []
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1))
+        with pytest.raises(NumericalError, match=f"^{spectral._NOT_FINITE}$"):
             solve(problem)
         assert calls == []
 
@@ -201,16 +205,57 @@ class TestSolve:
     ):
         # a NaN boundary value compares False with the tolerance either way;
         # only a value within it counts as met
-        lstsq = spectral._lstsq
-
-        def nan_solution(a, b):
-            x, sv = lstsq(a, b)
-            return np.full_like(x, np.nan), sv
-
-        monkeypatch.setattr(spectral, "_lstsq", nan_solution)
         problem = make_collocation_problem(reproduction_bvp, reproduction_funcs8)
+        svd = np.linalg.svd
+
+        def nan_factors(*args, **kwargs):
+            u, s, vt = svd(*args, **kwargs)
+            return np.full_like(u, np.nan), s, vt
+
+        monkeypatch.setattr(np.linalg, "svd", nan_factors)
         with pytest.raises(NumericalError, match="^boundary conditions not met"):
             solve(problem)
+
+    def test_singular_value_cut_makes_a_square_system_least_squares(self):
+        # 30 modes on 30 Chebyshev nodes: A N is square (28 x 28), but 11 of
+        # its singular values fall below 1e-14 of the largest and are cut
+        config = cli.validate_config(
+            {"sampling": {"kind": "chebyshev-lobatto", "N_s": 30}, "truncation": {"value": 30}}
+        )
+        problem = make_collocation_problem(*pipeline_case(config))
+        assert problem.interior_points.size == problem._null.shape[1] == 28
+        sol = solve(problem)
+        assert sol.method == "least-squares"
+        assert 1e12 <= sol.condition_estimate <= 1e14
+        report = cli.cmd_solve(config)["report.json"]
+        assert report["method"] == "least-squares"
+        assert report["rel_l2_error_mid"] <= 3e-8
+
+    @pytest.mark.parametrize(
+        "overrides, rel",
+        [
+            ({"sampling": {"N_s": 30}, "truncation": {"value": 20}}, 2.9e-9),
+            (
+                {"sampling": {"kind": "chebyshev-lobatto", "N_s": 60}, "truncation": {"value": 30}},
+                4.4e-9,
+            ),
+            ({"sampling": {"N_s": 40}, "truncation": {"value": 12}}, 2.0e-7),
+        ],
+        ids=["uniform-30-M20", "chebyshev-60-M30", "uniform-40-M12"],
+    )
+    def test_large_bases_meet_the_equation(self, overrides, rel):
+        # the 1e-14 singular value cut acts on the interior system's own
+        # scale; each bound is ten times the measured error
+        report = cli.cmd_solve(cli.validate_config(overrides))["report.json"]
+        assert report["rel_l2_error_mid"] <= 10 * rel
+
+    def test_coefficients_linear_in_y_f_to_the_bit(self, reproduction_funcs8, reproduction_bvp):
+        # every step is linear in (y_a, y_f), so a power-of-two scale is exact
+        sol = solve(make_collocation_problem(reproduction_bvp, reproduction_funcs8))
+        huge = replace(reproduction_bvp, y_f=math.ldexp(reproduction_bvp.y_f, 700))
+        scaled = solve(make_collocation_problem(huge, reproduction_funcs8))
+        assert np.array_equal(scaled.coefficients, np.ldexp(sol.coefficients, 700))
+        assert scaled.condition_estimate == sol.condition_estimate
 
 
 class TestResidual:
@@ -323,36 +368,25 @@ class TestEnergyScan:
         assert np.array_equal(scan.residual_norms, expected_norms, equal_nan=True)
 
     def test_one_svd_per_scan(self, monkeypatch, reproduction_funcs8, reproduction_bvp):
+        # one SVD stacked over every energy, besides the one of the boundary
+        # rows when the problem is built; no other LAPACK solver runs
         calls = []
         svd = np.linalg.svd
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return svd(*args, **kwargs)
+        def counted(a, *args, **kwargs):
+            calls.append(np.ndim(a))
+            return svd(a, *args, **kwargs)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a per-matrix LAPACK solver ran")
 
         monkeypatch.setattr(np.linalg, "svd", counted)
+        for name in ("solve", "lstsq", "pinv"):
+            monkeypatch.setattr(np.linalg, name, refused)
         for n_steps in (5, 41):
             calls.clear()
             energy_scan(reproduction_bvp, reproduction_funcs8, -0.7, -0.3, n_steps)
-            assert len(calls) == 1
-
-    def test_one_batched_least_squares_call_per_scan(
-        self, monkeypatch, reproduction_funcs8, reproduction_bvp
-    ):
-        # every matrix of this scan takes the weighted least-squares path
-        batched, single = [], []
-        stacked, lstsq = spectral._lstsq, np.linalg.lstsq
-        monkeypatch.setattr(
-            spectral, "_lstsq", lambda *a: batched.append(1) or stacked(*a)
-        )
-        monkeypatch.setattr(
-            np.linalg, "lstsq", lambda *a, **k: single.append(1) or lstsq(*a, **k)
-        )
-        for n_steps in (5, 41):
-            batched.clear()
-            energy_scan(reproduction_bvp, reproduction_funcs8, -0.7, -0.3, n_steps)
-            assert len(batched) == 1
-        assert single == []
+            assert calls == [2, 3]
 
     def test_basis_evaluated_once_per_scan(
         self, monkeypatch, reproduction_funcs8, reproduction_bvp
@@ -390,16 +424,16 @@ class TestEnergyScan:
     def test_failures_marked_not_fatal(
         self, monkeypatch, reproduction_funcs8, reproduction_bvp
     ):
-        # the scan solves its energies as one stack; poison the matrix at
-        # E = -0.5 in it
-        original = spectral._stack
+        # the scan solves its energies as one stack; poison the interior
+        # rows at E = -0.5 in it
+        original = spectral._Tabulation.operator
 
-        def poisoned(problem, energies):
-            stack, rhs = original(problem, energies)
-            stack[np.asarray(energies) == -0.5, 0, 0] = np.nan
-            return stack, rhs
+        def poisoned(self, energies):
+            rows = original(self, energies)
+            rows[np.asarray(energies) == -0.5, 0, 0] = np.nan
+            return rows
 
-        monkeypatch.setattr(spectral, "_stack", poisoned)
+        monkeypatch.setattr(spectral._Tabulation, "operator", poisoned)
         scan = energy_scan(reproduction_bvp, reproduction_funcs8, -0.52, -0.48, 5)
         assert scan.statuses[2].startswith("failed:")
         assert np.isnan(scan.residual_norms[2])
@@ -412,45 +446,44 @@ class TestEnergyScan:
             energy_scan(reproduction_bvp, reproduction_funcs8, -0.7, -0.3, 2)
 
 
-def per_matrix_solve(problem, A, rhs):
-    """The solve of one collocation matrix on public numpy calls, one matrix
-    at a time: what `_solve_stack` must reproduce bit for bit, as
+def per_matrix_solve(problem, A):
+    """The solve of one matrix of interior rows on public numpy calls, one
+    matrix at a time: what `_solve_stack` must reproduce bit for bit, as
     (coefficients, condition estimate, method) or a failure message."""
-    bvp = problem.bvp
-    if not np.isfinite(A).all():
+    bvp, N, B = problem.bvp, problem._null, problem._boundary
+    c_p = problem._particular
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = A @ N
+        r = -(A @ c_p)
+    if not (np.isfinite(R).all() and np.isfinite(r).all()):
         return spectral._NOT_FINITE
-    with np.errstate(over="ignore"):
-        row_scale = np.linalg.norm(A[:-2], axis=1).max() if len(A) > 2 else 1.0
-    if not np.isfinite(row_scale):
-        return spectral._WEIGHT_NOT_FINITE
-    sv = np.linalg.svd(A, compute_uv=False)
-    if A.shape[0] == A.shape[1] and sv[-1] >= 1e-14 * sv[0]:
-        coeffs = np.linalg.solve(A, rhs)
-        cond, method = float(sv[0] / sv[-1]), "direct"
-    else:
-        weight = 1e6 * row_scale
-        Aw, rw = A.copy(), rhs.copy()
+    z, cond = np.zeros(R.shape[1]), 1.0
+    method = "direct" if R.shape[0] == R.shape[1] else "least-squares"
+    if R.size:
+        u, s, vt = np.linalg.svd(R, full_matrices=False)
+        kept = s > 1e-14 * s[0]
         with np.errstate(over="ignore", invalid="ignore"):
-            Aw[-2:] *= weight
-            rw[-2:] *= weight
-        if not np.isfinite(rw).all():
-            return spectral._WEIGHTED_NOT_FINITE
-        coeffs, _, _, svw = np.linalg.lstsq(Aw, rw, rcond=1e-14)
-        kept = svw[svw >= 1e-14 * svw[0]]
-        cond, method = float(svw[0] / kept[-1]), "least-squares"
+            z = vt.T @ (np.where(kept, 1.0 / s, 0.0) * (u.T @ r))
+        cond = float(s[0] / s[kept].min()) if kept.any() else 0.0
+        if not kept.all():
+            method = "least-squares"
+    t = np.array([bvp.y_a, bvp.y_f])
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = c_p + N @ z
+        c = c + problem._pinv @ (t - B @ c)
+        y = B @ c
     tol = 1e-8 * max(1.0, abs(bvp.y_f))
-    y_a, y_b = problem._boundary @ coeffs
-    if not (abs(y_a - bvp.y_a) <= tol and abs(y_b - bvp.y_f) <= tol):
+    if not (abs(y[0] - t[0]) <= tol and abs(y[1] - t[1]) <= tol):
+        rank = N.shape[0] - N.shape[1]
         return (
-            "boundary conditions not met; the collocation matrix is numerically "
-            f"singular as posed (sigma_min/sigma_max = {sv[-1] / sv[0]:.2e})"
+            f"boundary conditions not met (boundary rank {rank} of 2, "
+            f"interior condition estimate {cond:.2e})"
         )
-    return coeffs, cond, method
+    return c, cond, method
 
 
 class TestBatchedSolve:
-    """The stacked LAPACK calls of `_solve_stack` against one public call per
-    matrix; a numpy that changes or drops the private gufunc fails here."""
+    """The stacked path of `_solve_stack` against one public call per matrix."""
 
     @pytest.mark.parametrize(
         "overrides",
@@ -458,15 +491,23 @@ class TestBatchedSolve:
             {},
             EXCITED_2P,
             FAILING_ROWS,
+            DIRECT_PATH,
             {"family": {"n_max": 200}},
             {"sampling": {"N_s": 120}, "truncation": {"value": 30}},
+            # singular values of A N cut at every energy
+            {"sampling": {"N_s": 200}, "truncation": {"value": 20}},
             # non-square, and every scan energy misses its boundary values
             {"problem": {**EXCITED_2P["problem"], "y_a": 0.3}},
-            # every weighted right-hand side overflows
             {"problem": {"y_f": 1e305}},
+            # no interior row (no node inside (0.5, 1), and M - 2 = 0), and a
+            # boundary system of rank 2 that leaves no null space
+            {"truncation": {"value": 2}, "problem": {"a": 0.5, "b": 1.0, "y_a": 1e-4}},
+            # overflows at every energy
+            {"problem": {"E": -1e300, "E_range": [-1e300, -1e299], "y_f": 1e10}},
         ],
         ids=[
-            "default", "2p", "failing-rows", "n_max-200", "uniform-120-M30", "2p-y_a", "y_f-1e305"
+            "default", "2p", "failing-rows", "direct", "n_max-200", "uniform-120-M30",
+            "uniform-200-M20", "2p-y_a", "y_f-1e305", "no-interior-rows", "overflow",
         ],
     )
     def test_bit_identical_to_per_matrix_lapack(self, overrides):
@@ -477,8 +518,8 @@ class TestBatchedSolve:
             results = spectral._solve_stack(problem, energies)
             assert len(results) == len(energies)
             for e, got in zip(energies, results):
-                matrix, rhs = assemble(make_collocation_problem(replace(bvp, E=e), basis))
-                want = per_matrix_solve(problem, matrix, rhs)
+                matrix, _ = assemble(make_collocation_problem(replace(bvp, E=e), basis))
+                want = per_matrix_solve(problem, matrix[:-2])
                 if isinstance(want, str):
                     assert isinstance(got, NumericalError)
                     assert str(got) == want
@@ -487,26 +528,13 @@ class TestBatchedSolve:
                 assert np.array_equal(got[0], want[0])
                 assert got[1:] == want[1:]
 
-    def test_singular_value_cut_matches_lstsq(self):
-        # singular values on both sides of the 1e-14 cut, which the
-        # collocation stacks above do not probe
-        rng = np.random.default_rng(1)
-        u, _ = np.linalg.qr(rng.standard_normal((3, 6, 4)))
-        v, _ = np.linalg.qr(rng.standard_normal((3, 4, 4)))
-        s = np.array([1.0, 1e-3, 3e-14, 5e-15])
-        a = u * s @ v
-        b = rng.standard_normal((3, 6))
-        x, sv = spectral._lstsq(a, b)
-        for k in range(3):
-            want_x, _, rank, want_sv = np.linalg.lstsq(a[k], b[k], rcond=1e-14)
-            assert rank == 3
-            assert np.array_equal(x[k], want_x)
-            assert np.array_equal(sv[k], want_sv)
+    def test_lapack_failure_raises(self, monkeypatch, reproduction_funcs8, reproduction_bvp):
+        # a failed SVD fails the whole stack, as a NumericalError
+        problem = make_collocation_problem(reproduction_bvp, reproduction_funcs8)
 
-    def test_lapack_failure_raises(self):
-        # gelsd fails on a NaN entry (which the gate would have stopped); one
-        # failed matrix raises for the stack, as `lstsq` raises, not as NaN
-        a = np.random.default_rng(0).standard_normal((2, 4, 3))
-        a[1, 0, 0] = np.nan
-        with pytest.raises(np.linalg.LinAlgError):
-            spectral._lstsq(a, np.ones((2, 4)))
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        with pytest.raises(NumericalError, match="^collocation SVD failed: SVD did not converge$"):
+            spectral._solve_stack(problem, [-0.6, -0.5])
