@@ -388,6 +388,28 @@ class TestEnergyScan:
             energy_scan(reproduction_bvp, reproduction_funcs8, -0.7, -0.3, n_steps)
             assert calls == [2, 3]
 
+    def test_one_batched_least_squares_call_per_scan(
+        self, monkeypatch, reproduction_funcs8, reproduction_bvp
+    ):
+        # every energy of the scan goes through one stacked least-squares
+        # solve; the per-matrix lstsq never runs
+        batched, single = [], []
+        stacked, lstsq = spectral._solve_stack, np.linalg.lstsq
+        monkeypatch.setattr(
+            spectral,
+            "_solve_stack",
+            lambda problem, energies: batched.append(len(energies))
+            or stacked(problem, energies),
+        )
+        monkeypatch.setattr(
+            np.linalg, "lstsq", lambda *a, **k: single.append(1) or lstsq(*a, **k)
+        )
+        for n_steps in (5, 41):
+            batched.clear()
+            energy_scan(reproduction_bvp, reproduction_funcs8, -0.7, -0.3, n_steps)
+            assert batched == [n_steps]
+        assert single == []
+
     def test_basis_evaluated_once_per_scan(
         self, monkeypatch, reproduction_funcs8, reproduction_bvp
     ):
