@@ -72,7 +72,9 @@ class BasisFunction:
         samples = np.asarray(self.samples, dtype=float)
         if nodes.ndim != 1 or samples.ndim not in (1, 2) or samples.shape[0] != nodes.size:
             raise ValueError("samples need one row per interpolation node")
-        if np.unique(nodes).size != nodes.size:
+        # neighbours after a sort, not np.unique, which imports numpy.ma
+        ordered = np.sort(nodes)
+        if (ordered[1:] == ordered[:-1]).any():
             raise ValueError("interpolation nodes must be distinct")
         weights = barycentric_weights(nodes)
         D = differentiation_matrix(nodes, weights)

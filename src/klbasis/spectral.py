@@ -200,10 +200,10 @@ def solve(problem: CollocationProblem) -> SpectralSolution:
     solution of the interior rows A N z = -A c_p, singular values of A N
     below 1e-14 of the largest cut. One correction c += B+ (t - B c)
     removes the rounding left in the boundary values, and the solve only
-    counts if both then lie within 1e-8 (times |y_f| when larger) of the
-    problem's. The method is "direct" when A N is square and nothing is
-    cut, else "least-squares"; the condition estimate is the ratio of the
-    extreme kept singular values of A N.
+    counts if both then lie within 1e-8 times max(|y_a|, |y_f|) of the
+    problem's (exactly, when both are 0). The method is "direct" when A N
+    is square and nothing is cut, else "least-squares"; the condition
+    estimate is the ratio of the extreme kept singular values of A N.
     """
     result = _solve_stack(problem, [problem.bvp.E])[0]
     if isinstance(result, NumericalError):
@@ -245,7 +245,8 @@ def _solve_stack(problem: CollocationProblem, energies) -> list:
         direct[finite] &= kept.all(axis=-1)
 
     target = np.array([bvp.y_a, bvp.y_f])
-    tol = _BOUNDARY_TOL * max(1.0, abs(bvp.y_f))
+    # relative to the data, so a problem and its scaled copy classify alike
+    tol = _BOUNDARY_TOL * max(abs(bvp.y_a), abs(bvp.y_f))
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = problem._particular + _matvec(null, z)
         coeffs += _matvec(pinv, target - _matvec(problem._boundary, coeffs))

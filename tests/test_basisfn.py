@@ -45,6 +45,19 @@ class TestEval:
         with pytest.raises(ValueError):
             BasisFunction(np.array([0.0, 0.5, 0.5, 1.0]), np.zeros(4))
 
+    @pytest.mark.parametrize(
+        "nodes", [[0.5, 1.0, 0.0, 0.5], [0.0, 1.0, -0.0], [-0.0, 0.5, 0.0, 1.0]]
+    )
+    def test_rejects_repeated_nodes_in_any_order(self, nodes):
+        # -0.0 and 0.0 are the same point
+        with pytest.raises(ValueError, match="^interpolation nodes must be distinct$"):
+            BasisFunction(np.array(nodes), np.zeros(len(nodes)))
+
+    def test_accepts_distinct_unsorted_nodes(self):
+        nodes = np.array([0.0, 0.75, 0.5, 1.0])
+        f = BasisFunction(nodes, nodes**2)
+        assert f.eval(0.3) == pytest.approx(0.09, rel=1e-14)
+
 
 class TestDerivatives:
     def test_quadratic_first_derivative(self):

@@ -1,6 +1,10 @@
+import copy
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -14,10 +18,11 @@ from conftest import count_kernel_calls
 
 from klbasis import cli, klcore
 from klbasis.csvio import read_csv
-from klbasis.errors import ConfigError
+from klbasis.errors import ConfigError, NumericalError
 from klbasis.hydrogenic import OrbitalSpec, numerov_oracle, radial_wavefunction
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_config(tmp_path: Path, overrides: dict, name: str = "config.json") -> Path:
@@ -511,6 +516,15 @@ class TestGenBasis:
         assert len(rows) == 80
 
 
+_EXCITED_2P = {"problem": {"n": 2, "l": 1, "E": -0.125, "E_range": [-0.2, -0.05], "b": 20.0}}
+# coefficients of about 1e10 leave its boundary values 2e-7 (relative) off
+_CHEBYSHEV_3P = {
+    "sampling": {"kind": "chebyshev-lobatto", "N_s": 31},
+    "truncation": {"value": 21},
+    "problem": {"n": 3, "l": 1, "E": -1 / 18, "a": 1.0, "b": 7.0},
+}
+
+
 class TestSolve:
     def test_reproduction_report(self, tmp_path):
         out = tmp_path / "out"
@@ -523,6 +537,37 @@ class TestSolve:
         hdr, rows = read_csv(out / "solution.csv")
         assert hdr == ["x", "y_numeric", "y_reference", "residual"]
         assert len(rows) == 201
+
+    @pytest.mark.parametrize("overrides", [{}, _EXCITED_2P], ids=["default", "excited2p"])
+    def test_residual_table_is_the_solution_columns(self, tmp_path, overrides):
+        cfg = write_config(tmp_path, overrides)
+        out = tmp_path / "out"
+        assert run(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        lines = (out / "solution.csv").read_bytes().splitlines()
+        columns = b"".join(b"%s,%s\n" % tuple(line.split(b",")[::3]) for line in lines)
+        assert (out / "residual.csv").read_bytes() == columns
+
+    @pytest.mark.parametrize("y_f", [1e-4, 1.0])
+    @pytest.mark.parametrize(
+        "overrides, outcome",
+        [({}, "ok"), (_CHEBYSHEV_3P, "boundary conditions not met")],
+        ids=["default", "chebyshev-3p"],
+    )
+    def test_classification_free_of_the_data_scale(self, overrides, outcome, y_f):
+        # a power-of-two factor scales every value of the solve exactly, so
+        # the boundary check, relative to the data, classifies alike
+        def classify(scale: int) -> str:
+            doc = copy.deepcopy(overrides)
+            doc.setdefault("problem", {})["y_f"] = math.ldexp(y_f, scale)
+            try:
+                cli.cmd_solve(cli.validate_config(doc))
+            except NumericalError as err:
+                return str(err)
+            return "ok"
+
+        outcomes = {classify(scale) for scale in (-200, 0, 200)}
+        assert len(outcomes) == 1
+        assert outcomes.pop().startswith(outcome)
 
     def test_many_orbital_family(self, tmp_path):
         # n_max = 200 samples 20,100 orbitals, up to n = 200 where the
@@ -797,6 +842,49 @@ class TestCompareBases:
         kl_error = float(next(r for r in rows if r[0] == "kl")[3])
         assert kl_error == read_json(out / "report.json")["rel_l2_error_mid"]
         assert kl_error == pytest.approx(expected, rel=1e-9)
+
+
+class TestRandomOrthonormal:
+    def test_columns_orthonormal(self):
+        Q = cli._random_orthonormal(20, 8, 20080556)
+        assert Q.shape == (20, 8)
+        assert np.max(np.abs(Q.T @ Q - np.eye(8))) <= 1e-12
+
+    def test_seeded(self):
+        draw = cli._random_orthonormal(20, 8, 7)
+        assert draw.tobytes() == cli._random_orthonormal(20, 8, 7).tobytes()
+        assert not np.array_equal(
+            cli._random_orthonormal(20, 8, 0), cli._random_orthonormal(20, 8, 1)
+        )
+
+    def test_leading_value_of_the_default_seed(self):
+        # the words are decoded little-endian; big-endian gives -0.5889
+        leading = cli._random_orthonormal(20, 8, 20080556)[0, 0]
+        assert leading == pytest.approx(-0.0901770958895396, rel=1e-12)
+
+
+# Run in a fresh interpreter: each subcommand on the default config, then a
+# check that it loaded neither module (numpy.matrixlib shares the prefix)
+_IMPORT_GUARD = """
+import contextlib, io, sys
+from klbasis import cli
+for command in cli._COMMANDS:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([command, "--out-dir", sys.argv[1]]) == 0, command
+    loaded = sorted({"numpy.ma", "numpy.random"}.intersection(sys.modules))
+    assert not loaded, f"{command} imported {loaded}"
+"""
+
+
+def test_subcommands_import_neither_numpy_ma_nor_numpy_random(tmp_path):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GUARD, str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 class TestDeterminism:
