@@ -30,6 +30,7 @@ __all__ = [
 
 _CUT = 1e-14
 _BOUNDARY_TOL = 1e-8
+_FINFO = np.finfo(float)
 _NOT_FINITE = "the collocation system is not finite"  # the SVD would raise LinAlgError
 _NORM_NOT_FINITE = "the residual norm is not finite"
 _SCAN_POINTS = 201
@@ -83,8 +84,8 @@ class _Tabulation:
         defect where y is zero. The rows are power-of-two scaled first
         (`_pow2_scaled`), so the squares cannot overflow; not finite only
         where the defect or y, or the ratio itself, is not."""
-        res, y = self.defect(coefficients, energy)
         with np.errstate(over="ignore", invalid="ignore"):
+            res, y = self.defect(coefficients, energy)
             res, res_exp = _pow2_scaled(res)
             y, y_exp = _pow2_scaled(y)
             res_rms = np.sqrt(np.mean(res * res, axis=-1))
@@ -200,10 +201,12 @@ def solve(problem: CollocationProblem) -> SpectralSolution:
     solution of the interior rows A N z = -A c_p, singular values of A N
     below 1e-14 of the largest cut. One correction c += B+ (t - B c)
     removes the rounding left in the boundary values, and the solve only
-    counts if both then lie within 1e-8 times max(|y_a|, |y_f|) of the
-    problem's (exactly, when both are 0). The method is "direct" when A N
-    is square and nothing is cut, else "least-squares"; the condition
-    estimate is the ratio of the extreme kept singular values of A N.
+    counts if each then lies within 1e-8 times max(|y_a|, |y_f|) of the
+    problem's, plus M eps (|B| |c|) for its row, the rounding bound of B c
+    (the tolerance clipped to the normal doubles). The method is "direct"
+    when A N is square and nothing is cut, else "least-squares"; the
+    condition estimate is the ratio of the extreme kept singular values
+    of A N.
     """
     result = _solve_stack(problem, [problem.bvp.E])[0]
     if isinstance(result, NumericalError):
@@ -221,7 +224,7 @@ def _solve_stack(problem: CollocationProblem, energies) -> list:
     keep the bits of their own call. The boundary checks and condition
     estimates are array operations over the stack, so Python only builds
     the result list and the failure messages."""
-    bvp, null, pinv = problem.bvp, problem._null, problem._pinv
+    bvp, null, pinv, boundary = problem.bvp, problem._null, problem._pinv, problem._boundary
     a = problem._interior.operator(energies)
     with np.errstate(over="ignore", invalid="ignore"):
         reduced = a @ null
@@ -245,12 +248,16 @@ def _solve_stack(problem: CollocationProblem, energies) -> list:
         direct[finite] &= kept.all(axis=-1)
 
     target = np.array([bvp.y_a, bvp.y_f])
-    # relative to the data, so a problem and its scaled copy classify alike
-    tol = _BOUNDARY_TOL * max(abs(bvp.y_a), abs(bvp.y_f))
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = problem._particular + _matvec(null, z)
-        coeffs += _matvec(pinv, target - _matvec(problem._boundary, coeffs))
-        met = (np.abs(_matvec(problem._boundary, coeffs) - target) <= tol).all(axis=-1)
+        coeffs += _matvec(pinv, target - _matvec(boundary, coeffs))
+        # the data's scale plus the rounding bound of the M-term sums B c,
+        # both exact under a power-of-two scaling; clipped to the normal
+        # doubles, as subnormal values carry no relative precision and an
+        # overflowed B c must not pass
+        rounding = boundary.shape[1] * _FINFO.eps * _matvec(np.abs(boundary), np.abs(coeffs))
+        tol = np.clip(_BOUNDARY_TOL * np.max(np.abs(target)) + rounding, _FINFO.tiny, _FINFO.max)
+        met = (np.abs(_matvec(boundary, coeffs) - target) <= tol).all(axis=-1)
     rank = null.shape[0] - cols
     results = []
     for c, ok, hit, cond_k, is_direct in zip(

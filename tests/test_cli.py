@@ -517,11 +517,20 @@ class TestGenBasis:
 
 
 _EXCITED_2P = {"problem": {"n": 2, "l": 1, "E": -0.125, "E_range": [-0.2, -0.05], "b": 20.0}}
-# coefficients of about 1e10 leave its boundary values 2e-7 (relative) off
-_CHEBYSHEV_3P = {
-    "sampling": {"kind": "chebyshev-lobatto", "N_s": 31},
-    "truncation": {"value": 21},
-    "problem": {"n": 3, "l": 1, "E": -1 / 18, "a": 1.0, "b": 7.0},
+# Boundary values that rounding leaves 5e-8-4e-7 (relative) off: behind
+# coefficients of 1e6 on the Chebyshev grid, boundary rows of norm 9e7 on
+# the uniform one
+_SCALE_CASES = {
+    "chebyshev-3p": {
+        "sampling": {"kind": "chebyshev-lobatto", "N_s": 31},
+        "truncation": {"value": 21},
+        "problem": {"n": 3, "l": 1, "E": -1 / 18, "a": 1.0, "b": 7.0},
+    },
+    "uniform-1s": {
+        "sampling": {"N_s": 38},
+        "truncation": {"value": 30},
+        "problem": {"a": 0.5, "b": 20.0, "y_a": 1.0},
+    },
 }
 
 
@@ -547,27 +556,47 @@ class TestSolve:
         columns = b"".join(b"%s,%s\n" % tuple(line.split(b",")[::3]) for line in lines)
         assert (out / "residual.csv").read_bytes() == columns
 
-    @pytest.mark.parametrize("y_f", [1e-4, 1.0])
     @pytest.mark.parametrize(
         "overrides, outcome",
-        [({}, "ok"), (_CHEBYSHEV_3P, "boundary conditions not met")],
-        ids=["default", "chebyshev-3p"],
+        [
+            ({}, "ok"),
+            *((_SCALE_CASES[name], "ok") for name in _SCALE_CASES),
+            # one mode cannot meet two boundary values
+            ({"truncation": {"value": 1}, "problem": {"a": 0.5, "y_a": 1.0}}, "boundary"),
+        ],
+        ids=["default", *_SCALE_CASES, "one-mode"],
     )
-    def test_classification_free_of_the_data_scale(self, overrides, outcome, y_f):
-        # a power-of-two factor scales every value of the solve exactly, so
-        # the boundary check, relative to the data, classifies alike
-        def classify(scale: int) -> str:
+    def test_classification_free_of_the_data_scale(self, overrides, outcome):
+        # the boundary check scales with the data and with the rounding of
+        # B c, so scaled copies of a problem classify alike; y_a is given
+        # as a multiple of y_f
+        def classify(y_f: float) -> str:
             doc = copy.deepcopy(overrides)
-            doc.setdefault("problem", {})["y_f"] = math.ldexp(y_f, scale)
+            problem = doc.setdefault("problem", {})
+            problem["y_a"] = problem.get("y_a", 0.0) * y_f
+            problem["y_f"] = y_f
             try:
                 cli.cmd_solve(cli.validate_config(doc))
             except NumericalError as err:
-                return str(err)
+                return str(err).split()[0]
             return "ok"
 
-        outcomes = {classify(scale) for scale in (-200, 0, 200)}
-        assert len(outcomes) == 1
-        assert outcomes.pop().startswith(outcome)
+        scales = (-200, 0, 200)
+        outcomes = {classify(math.ldexp(y_f, k)) for y_f in (1e-4, 3e-4, 1.0) for k in scales}
+        assert outcomes == {outcome}
+
+    def test_exported_residual_that_overflows(self, tmp_path, capsys):
+        # 12 modes with coefficients near 1e307: the solve and its figures
+        # are finite, but the defect on the export grid overflows; exit 2
+        # with no warning, not a nan cell at exit 0
+        problem = {"E": -0.65, "a": 0.5, "b": 20.0, "y_a": 1e-4, "y_f": 4e299}
+        overrides = {"sampling": {"N_s": 16, "b": 80.0}, "truncation": {"value": 12}}
+        cfg = write_config(tmp_path, {**overrides, "problem": problem})
+        out = tmp_path / "out"
+        assert run(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "numerical error: the exported solution or its residual is not finite\n"
+        assert not out.exists()
 
     def test_many_orbital_family(self, tmp_path):
         # n_max = 200 samples 20,100 orbitals, up to n = 200 where the
@@ -858,9 +887,8 @@ class TestRandomOrthonormal:
         )
 
     def test_leading_value_of_the_default_seed(self):
-        # the words are decoded little-endian; big-endian gives -0.5889
         leading = cli._random_orthonormal(20, 8, 20080556)[0, 0]
-        assert leading == pytest.approx(-0.0901770958895396, rel=1e-12)
+        assert leading == pytest.approx(0.21792755981551415, rel=1e-12)
 
 
 # Run in a fresh interpreter: each subcommand on the default config, then a

@@ -44,13 +44,13 @@ def pipeline_case(overrides: dict):
 EXCITED_2P = {"problem": {"n": 2, "l": 1, "E": -0.125, "E_range": [-0.2, -0.05], "b": 20.0}}
 # 12 modes on a domain that misses the origin: rank-2 boundary rows leave a
 # square 10 x 10 interior system A N with condition 3.9e11-6.7e11, so every
-# energy solves directly, to coefficients of 5e6-3e7 whose rounding leaves
-# the boundary values of 28 of the 41 default scan energies more than 1e-8
-# off: the scan has failed rows
+# energy solves directly, to coefficients of 5e6-3e7 times y_f. At y_f 1e300
+# they overflow at 14 of the 41 default scan energies (boundary values not
+# met) and the residual norm at 15 more: the scan has failed rows of both kinds
 FAILING_ROWS = {
     "sampling": {"N_s": 16, "b": 80.0},
     "truncation": {"value": 12},
-    "problem": {"a": 0.5, "b": 20.0, "y_a": 1e-4, "y_f": 1.0},
+    "problem": {"a": 0.5, "b": 20.0, "y_a": 1e-4, "y_f": 1e300},
 }
 
 # 20 modes and rank-2 boundary rows leave a square 18 x 18 interior system
@@ -66,7 +66,7 @@ DIRECT_PATH = {
 
 SCAN_CASES = pytest.mark.parametrize(
     "overrides, e_lo, e_hi, n_failed",
-    [({}, -0.7, -0.3, 0), (EXCITED_2P, -0.2, -0.05, 0), (FAILING_ROWS, -0.7, -0.3, 28)],
+    [({}, -0.7, -0.3, 0), (EXCITED_2P, -0.2, -0.05, 0), (FAILING_ROWS, -0.7, -0.3, 29)],
     ids=["1s", "2p", "failing-rows"],
 )
 
@@ -162,6 +162,13 @@ class TestSolve:
         assert abs(sol.eval(reproduction_bvp.a) - reproduction_bvp.y_a) <= tol
         assert abs(sol.eval(reproduction_bvp.b) - reproduction_bvp.y_f) <= tol
         assert sol.condition_estimate >= 1.0
+
+    def test_subnormal_boundary_value(self, reproduction_funcs8, reproduction_bvp):
+        # subnormal values carry no relative precision: the check holds the
+        # boundary values to the smallest normal double instead
+        bvp = replace(reproduction_bvp, y_f=math.ldexp(1e-4, -1060))
+        sol = solve(make_collocation_problem(bvp, reproduction_funcs8))
+        assert abs(sol.eval(bvp.b) - bvp.y_f) <= np.finfo(float).tiny
 
     def test_linear_in_boundary_data(self, reproduction_funcs8, reproduction_bvp):
         sol1 = solve(make_collocation_problem(reproduction_bvp, reproduction_funcs8))
@@ -344,8 +351,12 @@ class TestEnergyScan:
                 assert status == f"failed: {err}"
                 assert np.isnan(norm)
                 continue
-            assert status == "ok"
             expected = relative_residual_norm(sol, dense)
+            if not np.isfinite(expected):
+                assert status == f"failed: {spectral._NORM_NOT_FINITE}"
+                assert np.isnan(norm)
+                continue
+            assert status == "ok"
             assert abs(norm - expected) <= 1e-12 * expected
         assert sum(s.startswith("failed:") for s in scan.statuses) == n_failed
 
@@ -362,8 +373,10 @@ class TestEnergyScan:
                 expected_norms.append(np.nan)
                 expected_statuses.append(f"failed: {err}")
                 continue
-            expected_norms.append(relative_residual_norm(sol, dense))
-            expected_statuses.append("ok")
+            norm = relative_residual_norm(sol, dense)
+            finite = bool(np.isfinite(norm))
+            expected_norms.append(norm if finite else np.nan)
+            expected_statuses.append("ok" if finite else f"failed: {spectral._NORM_NOT_FINITE}")
         assert scan.statuses == tuple(expected_statuses)
         assert np.array_equal(scan.residual_norms, expected_norms, equal_nan=True)
 
@@ -494,8 +507,9 @@ def per_matrix_solve(problem, A):
         c = c_p + N @ z
         c = c + problem._pinv @ (t - B @ c)
         y = B @ c
-    tol = 1e-8 * max(1.0, abs(bvp.y_f))
-    if not (abs(y[0] - t[0]) <= tol and abs(y[1] - t[1]) <= tol):
+        tol = 1e-8 * np.max(np.abs(t)) + B.shape[1] * np.finfo(float).eps * (np.abs(B) @ np.abs(c))
+    tol = np.clip(tol, np.finfo(float).tiny, np.finfo(float).max)
+    if not (abs(y[0] - t[0]) <= tol[0] and abs(y[1] - t[1]) <= tol[1]):
         rank = N.shape[0] - N.shape[1]
         return (
             f"boundary conditions not met (boundary rank {rank} of 2, "
