@@ -95,12 +95,20 @@ def _energy_range(value, name: str) -> None:
 
 
 def _directory(value, name: str) -> None:
-    """A string naming a directory that exists or can be created: neither
-    it nor any parent may be an existing non-directory."""
+    """A string naming a directory that exists or can be created: no NUL
+    character (`Path.exists` reports such a path as missing), and neither
+    it nor any parent may be an existing non-directory or a path the OS
+    refuses to look up (a component too long, say)."""
     if not isinstance(value, str):
         raise ConfigError(f"{name} must be a string, got {_json(value)}")
+    if "\0" in value:
+        raise ConfigError(f"{name} must not contain a NUL character, got {_json(value)}")
     for path in (Path(value), *Path(value).parents):
-        if path.exists() and not path.is_dir():
+        try:
+            blocked = path.exists() and not path.is_dir()
+        except OSError as err:
+            raise ConfigError(f"{name} cannot be created: {err.strerror}") from None
+        if blocked:
             raise ConfigError(f"{name} cannot be created: {path} exists and is not a directory")
 
 

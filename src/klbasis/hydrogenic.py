@@ -24,6 +24,8 @@ from .errors import NumericalError
 # from g, skipping j and the letters already used.
 _SHELL_LETTERS = "spdfghiklmnoqrtuvwxyz"
 
+_FINFO = np.finfo(float)
+
 __all__ = [
     "OrbitalSpec",
     "RadialFamily",
@@ -143,6 +145,17 @@ class BoundaryValueProblem:
         if self.l > 0:
             v = v + self.l * (self.l + 1) / (2.0 * x * x + self.epsilon)
         return v if v.ndim else float(v)
+
+    def meets(self, values, rounding) -> np.ndarray:
+        """Whether each (y(a), y(b)) pair, the last axis of `values`, meets
+        (y_a, y_f): each end within 1e-8 max(|y_a|, |y_f|) plus `rounding`,
+        the caller's bound on its rounding. The tolerance is clipped to the
+        normal doubles: subnormal data carry no relative precision, and an
+        overflowed or NaN value fails."""
+        target = np.array([self.y_a, self.y_f])
+        with np.errstate(over="ignore", invalid="ignore"):
+            tol = np.clip(1e-8 * np.max(np.abs(target)) + rounding, _FINFO.tiny, _FINFO.max)
+            return (np.abs(np.asarray(values) - target) <= tol).all(axis=-1)
 
 
 def laguerre(k, alpha, x):
@@ -458,10 +471,10 @@ def numerov_oracle(bvp: BoundaryValueProblem, n_points: int) -> NumerovSolution:
     directly. When the left endpoint is the origin with y(0) = 0, u vanishes
     and v starts from the regular series (for l = 0, s is the literal slope),
     so one sweep suffices; otherwise two are run. Each sweep is one blocked
-    numpy scan (see _numerov_sweep). The result must meet y(b) to
-    1e-12 |y_f| (|y_a| when y_f = 0); if rounding in u + s v misses that,
-    the residual is removed along v once more and 1e-8 of that scale is
-    accepted.
+    numpy scan (see _numerov_sweep). The residual that rounding in u + s v
+    leaves at b is removed along v once more, and the result must then meet
+    y(b) by `BoundaryValueProblem.meets`, with the rounding bound of the
+    two-term sum u(b) + s v(b).
     """
     if n_points < 1000:
         raise ValueError(f"n_points must be >= 1000, got {n_points}")
@@ -490,11 +503,10 @@ def numerov_oracle(bvp: BoundaryValueProblem, n_points: int) -> NumerovSolution:
     if not math.isfinite(slope):
         raise NumericalError("unit-slope sweep vanishes at b; no slope matches y(b)")
     y = u + slope * v
-    scale = abs(bvp.y_f) or abs(bvp.y_a)
-    if abs(y[-1] - bvp.y_f) > 1e-12 * scale:
-        correction = (bvp.y_f - float(y[-1])) / v_b
-        slope += correction
-        y = y + correction * v
-    if not abs(y[-1] - bvp.y_f) <= 1e-8 * scale:
+    correction = (bvp.y_f - float(y[-1])) / v_b
+    slope += correction
+    y = y + correction * v
+    rounding = 2.0 * float(_FINFO.eps) * (abs(float(u[-1])) + abs(slope * v_b))
+    if not bvp.meets([y[0], y[-1]], rounding):
         raise NumericalError("superposed sweeps do not match y(b)")
     return NumerovSolution(x=x, y=y, slope=slope, iterations=sweeps)

@@ -29,9 +29,9 @@ __all__ = [
 ]
 
 _CUT = 1e-14
-_BOUNDARY_TOL = 1e-8
-_FINFO = np.finfo(float)
+_EPS = np.finfo(float).eps
 _NOT_FINITE = "the collocation system is not finite"  # the SVD would raise LinAlgError
+_UNMET = "boundary conditions not met (boundary rank {} of 2, interior condition estimate {:.2e})"
 _NORM_NOT_FINITE = "the residual norm is not finite"
 _SCAN_POINTS = 201
 
@@ -201,29 +201,37 @@ def solve(problem: CollocationProblem) -> SpectralSolution:
     solution of the interior rows A N z = -A c_p, singular values of A N
     below 1e-14 of the largest cut. One correction c += B+ (t - B c)
     removes the rounding left in the boundary values, and the solve only
-    counts if each then lies within 1e-8 times max(|y_a|, |y_f|) of the
-    problem's, plus M eps (|B| |c|) for its row, the rounding bound of B c
-    (the tolerance clipped to the normal doubles). The method is "direct"
-    when A N is square and nothing is cut, else "least-squares"; the
-    condition estimate is the ratio of the extreme kept singular values
+    counts if B c then meets them (`BoundaryValueProblem.meets`, given
+    M eps (|B| |c|) per row, the rounding bound of B c). The method is
+    "direct" when A N is square and nothing is cut, else "least-squares";
+    the condition estimate is the ratio of the extreme kept singular values
     of A N.
     """
-    result = _solve_stack(problem, [problem.bvp.E])[0]
-    if isinstance(result, NumericalError):
-        raise result
-    coeffs, cond, method = result
-    return SpectralSolution(coeffs, cond, problem, method)
+    stack = _solve_stack(problem, [problem.bvp.E])
+    if stack.errors[0] is not None:
+        raise NumericalError(stack.errors[0])
+    method = "direct" if stack.direct[0] else "least-squares"
+    return SpectralSolution(stack.coefficients[0], float(stack.conditions[0]), problem, method)
 
 
-def _solve_stack(problem: CollocationProblem, energies) -> list:
-    """Per energy, (coefficients, condition estimate, method) or the
-    `NumericalError` that stopped it.
+@dataclass(frozen=True)
+class _SolveStack:
+    """The solves of one problem at K energies: (K, M) coefficients with
+    NaN rows where a solve failed, the K condition estimates of A N, whether
+    each solve was direct, and per energy the failure message or None."""
 
-    An energy whose reduced system A N, -A c_p is not finite fails before
-    LAPACK sees it; the others take one stacked SVD, whose matrices each
-    keep the bits of their own call. The boundary checks and condition
-    estimates are array operations over the stack, so Python only builds
-    the result list and the failure messages."""
+    coefficients: np.ndarray
+    conditions: np.ndarray
+    direct: np.ndarray
+    errors: tuple[str | None, ...]
+
+
+def _solve_stack(problem: CollocationProblem, energies) -> _SolveStack:
+    """The solves of the problem at each energy. An energy whose reduced
+    system A N, -A c_p is not finite fails before LAPACK sees it; the others
+    take one stacked SVD, whose matrices each keep the bits of their own
+    call. The boundary checks and condition estimates are array operations
+    over the stack; Python only formats the failure messages."""
     bvp, null, pinv, boundary = problem.bvp, problem._null, problem._pinv, problem._boundary
     a = problem._interior.operator(energies)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -247,34 +255,19 @@ def _solve_stack(problem: CollocationProblem, energies) -> list:
         cond[finite] = s[:, 0] / np.minimum.reduce(s, axis=-1, where=kept, initial=np.inf)
         direct[finite] &= kept.all(axis=-1)
 
-    target = np.array([bvp.y_a, bvp.y_f])
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = problem._particular + _matvec(null, z)
-        coeffs += _matvec(pinv, target - _matvec(boundary, coeffs))
-        # the data's scale plus the rounding bound of the M-term sums B c,
-        # both exact under a power-of-two scaling; clipped to the normal
-        # doubles, as subnormal values carry no relative precision and an
-        # overflowed B c must not pass
-        rounding = boundary.shape[1] * _FINFO.eps * _matvec(np.abs(boundary), np.abs(coeffs))
-        tol = np.clip(_BOUNDARY_TOL * np.max(np.abs(target)) + rounding, _FINFO.tiny, _FINFO.max)
-        met = (np.abs(_matvec(boundary, coeffs) - target) <= tol).all(axis=-1)
+        coeffs += _matvec(pinv, [bvp.y_a, bvp.y_f] - _matvec(boundary, coeffs))
+        # the rounding bound of the M-term sums B c
+        rounding = boundary.shape[1] * _EPS * _matvec(np.abs(boundary), np.abs(coeffs))
+        solved = finite & bvp.meets(_matvec(boundary, coeffs), rounding)
+    coeffs[~solved] = np.nan
     rank = null.shape[0] - cols
-    results = []
-    for c, ok, hit, cond_k, is_direct in zip(
-        coeffs, finite.tolist(), met.tolist(), cond.tolist(), direct.tolist()
-    ):
-        if not ok:
-            results.append(NumericalError(_NOT_FINITE))
-        elif not hit:
-            results.append(
-                NumericalError(
-                    f"boundary conditions not met (boundary rank {rank} of 2, "
-                    f"interior condition estimate {cond_k:.2e})"
-                )
-            )
-        else:
-            results.append((c, cond_k, "direct" if is_direct else "least-squares"))
-    return results
+    errors = tuple(
+        None if ok else _UNMET.format(rank, cond_k) if is_finite else _NOT_FINITE
+        for ok, is_finite, cond_k in zip(solved.tolist(), finite.tolist(), cond.tolist())
+    )
+    return _SolveStack(coeffs, cond, direct, errors)
 
 
 def residual(sol: SpectralSolution, eval_points) -> np.ndarray:
@@ -346,20 +339,14 @@ def energy_scan(
     energies = np.linspace(e_lo, e_hi, n_steps)
     problem = CollocationProblem(bvp, basis)
     dense = _Tabulation.at(bvp, basis, _scan_grid(bvp))
-    coeffs = np.full((n_steps, problem.n_modes), np.nan)
-    results = _solve_stack(problem, energies)
-    for k, result in enumerate(results):
-        if not isinstance(result, NumericalError):
-            coeffs[k] = result[0]
-    norms = dense.relative_norm(coeffs, energies)
+    stack = _solve_stack(problem, energies)
+    norms = dense.relative_norm(stack.coefficients, energies)
     ok = np.isfinite(norms)
     norms[~ok] = np.nan
-    statuses = []
-    for result, row_ok in zip(results, ok.tolist()):
-        if isinstance(result, NumericalError):
-            statuses.append(f"failed: {result}")
-        else:
-            statuses.append("ok" if row_ok else f"failed: {_NORM_NOT_FINITE}")
+    statuses = [
+        "ok" if row_ok else f"failed: {error or _NORM_NOT_FINITE}"
+        for error, row_ok in zip(stack.errors, ok.tolist())
+    ]
     if not np.any(ok):
         raise NumericalError("no scan point solved successfully")
     idx = int(np.nanargmin(norms))

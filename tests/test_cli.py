@@ -409,6 +409,25 @@ class TestConfig:
         assert blocker.read_text() == "kept"
         assert {p.name for p in tmp_path.iterdir()} <= {"blocker", "config.json"}
 
+    @pytest.mark.parametrize(
+        "directory, message",
+        [
+            ("x" * 300 + "/out", "cannot be created: File name too long"),
+            ("nul\u0000dir", 'must not contain a NUL character, got "nul\\u0000dir"'),
+        ],
+        ids=["long-component", "nul-byte"],
+    )
+    def test_output_directory_the_os_cannot_look_up(
+        self, tmp_path, monkeypatch, capsys, directory, message
+    ):
+        # the OS refuses the first path and cannot take the second: a config
+        # error before any computation, not a traceback
+        cfg = write_config(tmp_path, {"output": {"directory": directory}})
+        monkeypatch.chdir(tmp_path)
+        assert run(["gen-basis", "--config", str(cfg)]) == 1
+        assert f"config error: output.directory {message}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     def test_value_error_is_not_a_numerical_failure(self, tmp_path, monkeypatch):
         def broken(config):
             raise ValueError("a defect, not numerics")
@@ -569,7 +588,11 @@ class TestSolve:
     def test_classification_free_of_the_data_scale(self, overrides, outcome):
         # the boundary check scales with the data and with the rounding of
         # B c, so scaled copies of a problem classify alike; y_a is given
-        # as a multiple of y_f
+        # as a multiple of y_f. The solvable cases also run on subnormal
+        # data (2**-1040), where the collocation solve and the Numerov
+        # reference share one rule. `one-mode` stays at normal scales: a
+        # subnormal target is held to the smallest normal double, which
+        # even one mode meets
         def classify(y_f: float) -> str:
             doc = copy.deepcopy(overrides)
             problem = doc.setdefault("problem", {})
@@ -581,7 +604,7 @@ class TestSolve:
                 return str(err).split()[0]
             return "ok"
 
-        scales = (-200, 0, 200)
+        scales = (-200, 0, 200, -1040) if outcome == "ok" else (-200, 0, 200)
         outcomes = {classify(math.ldexp(y_f, k)) for y_f in (1e-4, 3e-4, 1.0) for k in scales}
         assert outcomes == {outcome}
 

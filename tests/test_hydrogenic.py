@@ -294,6 +294,75 @@ class TestNumerovOracle:
         with pytest.raises(NumericalError):
             numerov_oracle(bvp, 5000)
 
+    @pytest.mark.parametrize(
+        "scale",
+        [1e-4, math.ldexp(1e-4, -1040), math.ldexp(1.0, -1040)],
+        ids=["normal", "1e-4*2**-1040", "2**-1040"],
+    )
+    def test_subnormal_data(self, scale):
+        # y(b) is held by the collocation solve's rule, so subnormal data
+        # are met to the smallest normal double instead of failing
+        bvp = BoundaryValueProblem(l=0, Z=1.0, E=-0.5, a=0.5, b=20.0, y_a=scale, y_f=scale)
+        sol = numerov_oracle(bvp, 20_000)
+        assert sol.y[0] == scale
+        assert bvp.meets([sol.y[0], sol.y[-1]], 0.0)
+
+
+class TestBoundaryRule:
+    """`BoundaryValueProblem.meets`, the one rule both solvers classify by."""
+
+    @staticmethod
+    def bvp(y_a, y_f):
+        return BoundaryValueProblem(l=0, Z=1.0, E=-0.5, a=1.0, b=7.0, y_a=y_a, y_f=y_f)
+
+    def test_relative_to_the_larger_target(self):
+        bvp = self.bvp(-0.5, 2.0)  # tolerance 2e-8 at both ends
+        assert bvp.meets([-0.5 + 1.5e-8, 2.0 - 1.5e-8], 0.0)
+        assert not bvp.meets([-0.5 + 2.5e-8, 2.0], 0.0)
+        assert not bvp.meets([-0.5, 2.0 + 2.5e-8], 0.0)
+        # the caller's rounding bound widens it
+        assert bvp.meets([-0.5, 2.0 + 2.5e-8], 1e-8)
+
+    def test_zero_targets_held_to_the_smallest_normal(self):
+        tiny = np.finfo(float).tiny
+        bvp = self.bvp(0.0, 0.0)
+        assert bvp.meets([0.0, tiny], 0.0) and bvp.meets([-tiny, 0.0], 0.0)
+        assert not bvp.meets([0.0, 2.0 * tiny], 0.0)
+
+    def test_subnormal_targets_held_to_the_smallest_normal(self):
+        tiny = np.finfo(float).tiny
+        t = math.ldexp(1.0, -1040)
+        assert 0.0 < t < tiny
+        bvp = self.bvp(t, -t)
+        assert bvp.meets([0.0, 0.0], 0.0)
+        assert bvp.meets([t + 0.5 * tiny, -t - 0.5 * tiny], 0.0)
+        assert not bvp.meets([t + 2.0 * tiny, -t], 0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_fail(self, value):
+        bvp = self.bvp(1.0, 1.0)
+        assert not bvp.meets([value, 1.0], 0.0)
+        assert not bvp.meets([1.0, value], 0.0)
+        # not even under an unbounded rounding bound
+        assert not bvp.meets([1.0, value], math.inf)
+
+    def test_overflowing_rounding_bound_is_clipped(self):
+        # 1e-8 |y_f| plus the bound overflows (without a warning) and is
+        # clipped to the largest finite double
+        big = np.finfo(float).max
+        bvp = self.bvp(1.0, big)
+        assert bvp.meets([-big, 0.0], big)
+        assert not bvp.meets([1.0, math.inf], big)
+
+    def test_stack_of_pairs(self):
+        bvp = self.bvp(1.0, -1.0)
+        values = np.array([[1.0, -1.0], [1.0 + 1e-7, -1.0], [1.0, math.nan], [1.0, -1.0 - 1e-7]])
+        rounding = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 1e-6]])
+        got = bvp.meets(values, rounding)
+        assert got.shape == (4,)
+        assert got.tolist() == [True, False, False, True]
+        assert got.tolist() == [bool(bvp.meets(v, r)) for v, r in zip(values, rounding)]
+
 
 class TestFamily:
     def test_family_size_and_order(self, family28):

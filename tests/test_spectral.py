@@ -551,18 +551,20 @@ class TestBatchedSolve:
         bvp, basis = pipeline_case(overrides)
         problem = make_collocation_problem(bvp, basis)
         for energies in (np.linspace(*config["problem"]["E_range"], 41), [bvp.E]):
-            results = spectral._solve_stack(problem, energies)
-            assert len(results) == len(energies)
-            for e, got in zip(energies, results):
+            stack = spectral._solve_stack(problem, energies)
+            assert stack.coefficients.shape == (len(energies), problem.n_modes)
+            assert len(stack.errors) == len(energies)
+            for k, e in enumerate(energies):
                 matrix, _ = assemble(make_collocation_problem(replace(bvp, E=e), basis))
                 want = per_matrix_solve(problem, matrix[:-2])
                 if isinstance(want, str):
-                    assert isinstance(got, NumericalError)
-                    assert str(got) == want
+                    assert stack.errors[k] == want
+                    assert np.isnan(stack.coefficients[k]).all()
                     continue
-                assert not isinstance(got, NumericalError), got
-                assert np.array_equal(got[0], want[0])
-                assert got[1:] == want[1:]
+                assert stack.errors[k] is None, stack.errors[k]
+                assert np.array_equal(stack.coefficients[k], want[0])
+                method = "direct" if stack.direct[k] else "least-squares"
+                assert (stack.conditions[k], method) == want[1:]
 
     def test_lapack_failure_raises(self, monkeypatch, reproduction_funcs8, reproduction_bvp):
         # a failed SVD fails the whole stack, as a NumericalError
