@@ -17,16 +17,8 @@ from .hydrogenic import (
     reduced_eigenstate,
     reduced_ground_state,
 )
-from .sampling import (
-    Grid,
-    GridKind,
-    SampleMatrix,
-    build_sample_matrix,
-    make_grid,
-)
+from .sampling import GRID_KINDS, build_sample_matrix, make_grid
 from .klcore import (
-    CenteredMatrix,
-    CovarianceMatrix,
     EnergyFraction,
     FixedM,
     KLBasis,

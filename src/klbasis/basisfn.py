@@ -136,5 +136,5 @@ class BasisFunction:
 
 
 def interpolate(basis: KLBasis) -> BasisFunction:
-    """One interpolant over all the basis's modes, on its grid."""
-    return BasisFunction(basis.grid.points, basis.vectors)
+    """One interpolant over all the basis's modes, on its grid points."""
+    return BasisFunction(basis.points, basis.vectors)

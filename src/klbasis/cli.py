@@ -35,6 +35,7 @@ from .errors import ConfigError, NumericalError
 from .hydrogenic import (
     BoundaryValueProblem,
     OrbitalSpec,
+    RadialFamily,
     make_family,
     numerov_oracle,
     reduced_eigenstate,
@@ -90,8 +91,12 @@ def _one_of(*choices: str) -> Callable:
 def _energy_range(value, name: str) -> None:
     if not isinstance(value, list) or len(value) != 2:
         raise ConfigError(f"{name} must be [lo, hi], got {_json(value)}")
-    if not _number(value[0], f"{name}[0]") < _number(value[1], f"{name}[1]"):
+    lo, hi = _number(value[0], f"{name}[0]"), _number(value[1], f"{name}[1]")
+    if not lo < hi:
         raise ConfigError(f"{name} must have lo < hi, got {_json(value)}")
+    # the scan steps by (hi - lo) / (n_steps - 1)
+    if not math.isfinite(hi - lo):
+        raise ConfigError(f"{name} must have a finite width hi - lo, got {_json(value)}")
 
 
 def _directory(value, name: str) -> None:
@@ -117,7 +122,7 @@ def _directory(value, name: str) -> None:
 _SCHEMA = (
     ("family.n_max", 7, _at_least(2, why="; a single orbital centers to zero")),
     ("family.Z", 1.0, _positive),
-    ("sampling.kind", "uniform", _one_of("uniform", "chebyshev-lobatto")),
+    ("sampling.kind", "uniform", _one_of(*sampling.GRID_KINDS)),
     ("sampling.N_s", 20, _at_least(2)),
     ("sampling.a", 0.0, _at_least(0, _number, "; orbitals are sampled at radii r >= 0")),
     ("sampling.b", 40.0, _number),
@@ -228,9 +233,10 @@ def validate_config(doc: dict, overrides: dict | None = None) -> dict:
 
 @dataclass(frozen=True)
 class PipelineResult:
-    sample: sampling.SampleMatrix
-    centered: klcore.CenteredMatrix
-    cov: klcore.CovarianceMatrix
+    family: RadialFamily
+    samples: np.ndarray
+    centered: np.ndarray
+    K: np.ndarray
     basis: klcore.KLBasis
     truncated: klcore.KLBasis
     interpolant: basisfn.BasisFunction
@@ -241,23 +247,21 @@ def run_pipeline(config: dict) -> PipelineResult:
     interpolated basis functions."""
     fam, samp, trunc = config["family"], config["sampling"], config["truncation"]
     family = make_family(int(fam["n_max"]), float(fam["Z"]))
-    grid = sampling.make_grid(
-        sampling.GridKind(samp["kind"]), int(samp["N_s"]), float(samp["a"]), float(samp["b"])
-    )
-    sample = sampling.build_sample_matrix(family, grid)
-    centered = klcore.center_columns(sample)
-    cov = klcore.covariance(centered)
-    trace = float(np.trace(cov.K))
+    points = sampling.make_grid(samp["kind"], int(samp["N_s"]), float(samp["a"]), float(samp["b"]))
+    samples = sampling.build_sample_matrix(family, points)
+    centered = klcore.center_columns(samples)
+    K = klcore.covariance(centered)
+    trace = float(np.trace(K))
     if not trace > 0.0:
         raise NumericalError(f"the sample covariance has trace {trace}, so it defines no basis")
-    basis = klcore.eig_sym(cov, grid)
+    basis = klcore.eig_sym(K, points)
     if trunc["criterion"] == "fixed_m":
         criterion = klcore.FixedM(int(trunc["value"]))
     else:
         criterion = klcore.EnergyFraction(float(trunc["value"]))
     truncated = klcore.truncate_basis(basis, criterion)
     return PipelineResult(
-        sample=sample, centered=centered, cov=cov, basis=basis,
+        family=family, samples=samples, centered=centered, K=K, basis=basis,
         truncated=truncated, interpolant=basisfn.interpolate(truncated),
     )
 
@@ -348,16 +352,17 @@ Artifacts = dict[str, "str | dict"]
 def cmd_gen_basis(config: dict) -> Artifacts:
     """sample wavefunctions and write the basis artifact set"""
     pipe = run_pipeline(config)
-    doc = klcore.basis_json_doc(pipe.basis)
+    doc = klcore.basis_json_doc(pipe.basis, config["sampling"]["kind"])
     doc["truncation"] = {
         "criterion": config["truncation"]["criterion"],
         "value": config["truncation"]["value"],
         "M": pipe.truncated.M,
     }
     doc["config"] = config
+    points = pipe.basis.points
     return {
-        "samples.csv": sampling.sample_matrix_csv_text(pipe.sample),
-        "covariance.csv": csvio.csv_text([f"k_{j}" for j in range(pipe.cov.n)], pipe.cov.K),
+        "samples.csv": sampling.sample_matrix_csv_text(pipe.family, points, pipe.samples),
+        "covariance.csv": csvio.csv_text([f"k_{j}" for j in range(pipe.basis.n)], pipe.K),
         "eigenvalues.csv": klcore.eigenvalues_csv_text(pipe.basis),
         "basis.csv": klcore.vectors_csv_text(pipe.basis),
         "basis.json": doc,
@@ -455,18 +460,18 @@ def cmd_compare_bases(config: dict) -> Artifacts:
     """compare reconstruction and solve errors across basis sets"""
     pipe = run_pipeline(config)
     m = pipe.truncated.M
-    grid = pipe.sample.grid
+    points = pipe.basis.points
     bvp = problem_from_config(config)
     xm = _mid_window(bvp)
     reference, _ = _reference(config, bvp)
     refm = reference(xm)
 
-    drawn = _random_orthonormal(grid.n_points, m, int(config["seed"]))
-    monomial = _monomial_basis(grid.points, m)
+    drawn = _random_orthonormal(points.size, m, int(config["seed"]))
+    monomial = _monomial_basis(points, m)
     candidates = [
         ("kl", pipe.truncated.vectors, pipe.interpolant),
-        ("random-orthonormal", drawn, basisfn.BasisFunction(grid.points, drawn)),
-        ("monomial", monomial, basisfn.BasisFunction(grid.points, monomial)),
+        ("random-orthonormal", drawn, basisfn.BasisFunction(points, drawn)),
+        ("monomial", monomial, basisfn.BasisFunction(points, monomial)),
     ]
     rows = []
     for name, B, interpolant in candidates:

@@ -439,7 +439,9 @@ def _regular_series(bvp: BoundaryValueProblem, x):
     b1 = -Z / (l + 1.0)
     b2 = (-2.0 * Z * b1 - 2.0 * E) / (2.0 * (2.0 * l + 3.0))
     b3 = (-2.0 * Z * b2 - 2.0 * E * b1) / (3.0 * (2.0 * l + 4.0))
-    return x ** (l + 1) * (1.0 + x * (b1 + x * (b2 + x * b3)))
+    # at |E| near the largest double the coefficients overflow to inf - inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        return x ** (l + 1) * (1.0 + x * (b1 + x * (b2 + x * b3)))
 
 
 def _oracle_potential(bvp: BoundaryValueProblem, x: np.ndarray) -> np.ndarray:
@@ -480,9 +482,12 @@ def numerov_oracle(bvp: BoundaryValueProblem, n_points: int) -> NumerovSolution:
         raise ValueError(f"n_points must be >= 1000, got {n_points}")
     x = np.linspace(bvp.a, bvp.b, n_points)
     h = (bvp.b - bvp.a) / (n_points - 1)
-    g = 2.0 * (_oracle_potential(bvp, x) - bvp.E)
-    incr = (h * h) * g
-    coef = 1.0 - (h * h / 12.0) * g
+    # at |E| near the largest double g overflows; the sweep then reports
+    # the instability
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = 2.0 * (_oracle_potential(bvp, x) - bvp.E)
+        incr = (h * h) * g
+        coef = 1.0 - (h * h / 12.0) * g
 
     if bvp.y_f == 0.0 and bvp.y_a == 0.0:
         return NumerovSolution(x=x, y=np.zeros(n_points), slope=0.0, iterations=0)

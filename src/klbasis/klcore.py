@@ -15,11 +15,8 @@ import numpy as np
 
 from . import csvio
 from .errors import NumericalError
-from .sampling import Grid, SampleMatrix
 
 __all__ = [
-    "CenteredMatrix",
-    "CovarianceMatrix",
     "KLBasis",
     "FixedM",
     "EnergyFraction",
@@ -35,85 +32,43 @@ __all__ = [
 ]
 
 
-def _as_matrix(Y) -> np.ndarray:
-    if isinstance(Y, SampleMatrix):
-        return Y.values
-    if isinstance(Y, CenteredMatrix):
-        return Y.values
-    return np.asarray(Y, dtype=float)
-
-
-@dataclass(frozen=True)
-class CenteredMatrix:
-    """Sample matrix with the per-row mean over columns removed."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
-        scale = np.max(np.abs(vals), initial=0.0)
-        if np.any(np.abs(vals.sum(axis=1)) > 1e-12 * vals.shape[1] * max(scale, 1e-300)):
-            raise ValueError("rows of a centered matrix must sum to zero")
-
-
-@dataclass(frozen=True)
-class CovarianceMatrix:
-    K: np.ndarray
-
-    def __post_init__(self):
-        K = np.asarray(self.K, dtype=float)
-        object.__setattr__(self, "K", K)
-        if K.ndim != 2 or K.shape[0] != K.shape[1]:
-            raise ValueError("covariance matrix must be square")
-        if not np.array_equal(K, K.T):
-            raise ValueError("covariance matrix must be exactly symmetric")
-
-    @property
-    def n(self) -> int:
-        return self.K.shape[0]
-
-
-def center_columns(Y) -> CenteredMatrix:
-    """Subtract, within each row, the mean over the column index.
-
-    values[i, j] = Y[i, j] - mean_j Y[i, j]. Requires at least two
-    columns; with one column centering would annihilate the data.
+def center_columns(Y) -> np.ndarray:
+    """Subtract, within each row, the mean over the column index:
+    Yc[i, j] = Y[i, j] - mean_j Y[i, j]. Requires a 2-d array with at
+    least two columns; with one column centering would annihilate the data.
     """
-    mat = _as_matrix(Y)
+    mat = np.asarray(Y, dtype=float)
     if mat.ndim != 2:
         raise ValueError("expected a 2-d sample matrix")
     if mat.shape[1] < 2:
         raise ValueError(f"need at least 2 columns to center, got {mat.shape[1]}")
-    return CenteredMatrix(values=mat - mat.mean(axis=1)[:, None])
+    return mat - mat.mean(axis=1)[:, None]
 
 
-def covariance(Yc: CenteredMatrix) -> CovarianceMatrix:
+def covariance(Yc: np.ndarray) -> np.ndarray:
     """K = (1/N_w) Yc Yc^T, symmetrized as (K + K^T)/2 to remove the
     rounding asymmetry of the matrix product."""
-    mat = _as_matrix(Yc)
-    n_w = mat.shape[1]
-    K = (mat @ mat.T) / n_w
-    K = 0.5 * (K + K.T)
-    return CovarianceMatrix(K=K)
+    K = (Yc @ Yc.T) / Yc.shape[1]
+    return 0.5 * (K + K.T)
 
 
 @dataclass(frozen=True)
 class KLBasis:
-    """The leading M eigenpairs of a covariance matrix on its grid: all n
-    of them from `eig_sym`, fewer after truncation. Eigenvalues descending,
-    eigenvector columns orthonormal with a deterministic sign."""
+    """The leading M eigenpairs of a covariance matrix on its grid points:
+    all n of them from `eig_sym`, fewer after truncation. Eigenvalues
+    descending, eigenvector columns orthonormal with a deterministic sign."""
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
-    grid: Grid
+    points: np.ndarray
 
     def __post_init__(self):
         lam = np.asarray(self.eigenvalues, dtype=float)
         phi = np.asarray(self.vectors, dtype=float)
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "vectors", phi)
-        n = self.grid.n_points
+        object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
+        n = self.n
         if phi.shape != (n, lam.size) or not 1 <= lam.size <= n:
             raise ValueError(
                 f"vectors need one row per grid point and 1 to {n} columns, one per "
@@ -135,7 +90,7 @@ class KLBasis:
     @property
     def n(self) -> int:
         """The grid size: the order of the covariance matrix."""
-        return self.grid.n_points
+        return self.points.size
 
 
 @dataclass(frozen=True)
@@ -160,23 +115,30 @@ def _apply_sign_convention(phi: np.ndarray) -> np.ndarray:
     return np.multiply(phi, np.where(peaks < 0, -1.0, 1.0), order="C")
 
 
-def eig_sym(K: CovarianceMatrix, grid: Grid) -> KLBasis:
-    """All eigenpairs of a symmetric matrix, eigenvalues descending.
+def eig_sym(K: np.ndarray, points: np.ndarray) -> KLBasis:
+    """All eigenpairs of a symmetric matrix, eigenvalues descending, as the
+    basis on the grid points.
 
+    K must be square and exactly symmetric (ValueError otherwise).
     LAPACK's symmetric eigensolver (`np.linalg.eigh`) does the work; the
     eigenvalues are then ordered descending by a stable sort, and each
     eigenvector gets a deterministic sign: its entry of largest absolute
     value is positive (ties broken by lowest index). A solver failure is
     reported as NumericalError.
     """
+    K = np.asarray(K, dtype=float)
+    if K.ndim != 2 or K.shape[0] != K.shape[1]:
+        raise ValueError("covariance matrix must be square")
+    if not np.array_equal(K, K.T):
+        raise ValueError("covariance matrix must be exactly symmetric")
     try:
-        lam, V = np.linalg.eigh(K.K)
+        lam, V = np.linalg.eigh(K)
     except np.linalg.LinAlgError as err:
         raise NumericalError(f"symmetric eigensolver failed: {err}") from err
     order = np.argsort(-lam, kind="stable")
     lam = lam[order]
     V = _apply_sign_convention(V[:, order])
-    return KLBasis(eigenvalues=lam, vectors=V, grid=grid)
+    return KLBasis(eigenvalues=lam, vectors=V, points=points)
 
 
 def truncate_basis(basis: KLBasis, criterion: FixedM | EnergyFraction) -> KLBasis:
@@ -200,18 +162,17 @@ def truncate_basis(basis: KLBasis, criterion: FixedM | EnergyFraction) -> KLBasi
             m = min(m, m_max)
     else:
         raise TypeError(f"unsupported truncation criterion: {criterion!r}")
-    return KLBasis(basis.eigenvalues[:m].copy(), basis.vectors[:, :m].copy(), basis.grid)
+    return KLBasis(basis.eigenvalues[:m].copy(), basis.vectors[:, :m].copy(), basis.points)
 
 
-def projection_mse(Yc, B: np.ndarray) -> float:
+def projection_mse(Yc: np.ndarray, B: np.ndarray) -> float:
     """Mean-square residual of projecting the centered columns onto the
     span of the orthonormal columns of B: (1/N_w) ||Yc - B B^T Yc||_F^2."""
-    mat = _as_matrix(Yc)
-    resid = mat - B @ (B.T @ mat)
-    return float(np.sum(resid * resid) / mat.shape[1])
+    resid = Yc - B @ (B.T @ Yc)
+    return float(np.sum(resid * resid) / Yc.shape[1])
 
 
-def reconstruction_mse(Yc: CenteredMatrix, basis: KLBasis, M: int) -> float:
+def reconstruction_mse(Yc: np.ndarray, basis: KLBasis, M: int) -> float:
     """Truncation error of keeping the top M modes; equals the eigenvalue
     tail sum up to rounding."""
     if not 1 <= M <= basis.M:
@@ -229,10 +190,11 @@ def eigenvalues_csv_text(basis: KLBasis) -> str:
 
 def vectors_csv_text(basis: KLBasis) -> str:
     header = ["x"] + [f"phi_{j}" for j in range(basis.M)]
-    return csvio.csv_text(header, np.column_stack((basis.grid.points, basis.vectors)))
+    return csvio.csv_text(header, np.column_stack((basis.points, basis.vectors)))
 
 
-def basis_json_doc(basis: KLBasis) -> dict:
+def basis_json_doc(basis: KLBasis, kind: str) -> dict:
     """The grid of the `basis.json` manifest: its kind and end points. The
     points, eigenvalues and vectors are in `basis.csv` and `eigenvalues.csv`."""
-    return {"grid": {"kind": basis.grid.kind.value, "a": basis.grid.a, "b": basis.grid.b}}
+    a, b = basis.points[[0, -1]].tolist()
+    return {"grid": {"kind": kind, "a": a, "b": b}}

@@ -233,8 +233,8 @@ def _solve_stack(problem: CollocationProblem, energies) -> _SolveStack:
     call. The boundary checks and condition estimates are array operations
     over the stack; Python only formats the failure messages."""
     bvp, null, pinv, boundary = problem.bvp, problem._null, problem._pinv, problem._boundary
-    a = problem._interior.operator(energies)
     with np.errstate(over="ignore", invalid="ignore"):
+        a = problem._interior.operator(energies)
         reduced = a @ null
         rhs = -_matvec(a, problem._particular)
     k, rows, cols = reduced.shape

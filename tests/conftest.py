@@ -14,13 +14,13 @@ def family28():
 def reproduction_pipeline(family28):
     """The 28-orbital reproduction setup: N_s=20 uniform samples of the
     reduced wavefunctions on [0, 40], centered, with the full eigenbasis."""
-    grid = sampling.make_grid(sampling.GridKind.UNIFORM, 20, 0.0, 40.0)
-    sample = sampling.build_sample_matrix(family28, grid)
+    points = sampling.make_grid("uniform", 20, 0.0, 40.0)
+    sample = sampling.build_sample_matrix(family28, points)
     centered = klcore.center_columns(sample)
     cov = klcore.covariance(centered)
-    basis = klcore.eig_sym(cov, grid=grid)
+    basis = klcore.eig_sym(cov, points)
     return {
-        "grid": grid,
+        "points": points,
         "sample": sample,
         "centered": centered,
         "cov": cov,

@@ -50,7 +50,7 @@ def test_criterion_1_wavefunction_correctness(family28):
 
 def test_criterion_2_kl_invariants(reproduction_pipeline):
     basis = reproduction_pipeline["basis"]
-    K = reproduction_pipeline["cov"].K
+    K = reproduction_pipeline["cov"]
     lam, phi = basis.eigenvalues, basis.vectors
     trace = float(np.trace(K))
     sorted_ok = bool(np.all(np.diff(lam) <= 0))
@@ -79,8 +79,8 @@ def test_criterion_3_eigenvalue_decay(reproduction_pipeline):
 def test_criterion_4_kl_optimality(reproduction_pipeline):
     Yc = reproduction_pipeline["centered"]
     basis = reproduction_pipeline["basis"]
-    trace = float(np.trace(reproduction_pipeline["cov"].K))
-    n_w = Yc.values.shape[1]
+    trace = float(np.trace(reproduction_pipeline["cov"]))
+    n_w = Yc.shape[1]
     kl_mse = np.array([reconstruction_mse(Yc, basis, m) for m in range(1, 21)])
     tails = np.array([float(basis.eigenvalues[m:].sum()) for m in range(1, 21)])
     tail_ok = bool(np.all(np.abs(kl_mse - tails) <= 1e-9 * trace))
@@ -92,7 +92,7 @@ def test_criterion_4_kl_optimality(reproduction_pipeline):
         A = rng.standard_normal((20, 20))
         Q, R = np.linalg.qr(A)
         Q = Q * np.sign(np.diag(R))
-        energies = np.sum((Q.T @ Yc.values) ** 2, axis=1) / n_w
+        energies = np.sum((Q.T @ Yc) ** 2, axis=1) / n_w
         captured = np.cumsum(np.sort(energies)[::-1])
         # best possible M-subset of Q's columns for every M at once
         q_mse = trace - captured

@@ -1,4 +1,5 @@
 import copy
+import inspect
 import json
 import math
 import os
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import count_kernel_calls
 
-from klbasis import cli, klcore
+from klbasis import cli, klcore, sampling
 from klbasis.csvio import read_csv
 from klbasis.errors import ConfigError, NumericalError
 from klbasis.hydrogenic import OrbitalSpec, numerov_oracle, radial_wavefunction
@@ -66,6 +67,7 @@ class TestConfig:
             {"problem": {"E": float("nan")}},
             {"problem": {"y_f": float("inf")}},
             {"problem": {"E_range": [-0.7, float("inf")]}},
+            {"problem": {"E_range": [-1e308, 1e308]}},
             {"family": {"n_max": 1.5}},
             {"family": {"n_max": True}},
             {"family": {"n_max": 1}},
@@ -78,6 +80,7 @@ class TestConfig:
             "E-nan",
             "y_f-inf",
             "E_range-inf",
+            "E_range-width-overflows",
             "n_max-fraction",
             "n_max-bool",
             "n_max-one",
@@ -122,15 +125,25 @@ class TestConfig:
                 {"problem": {"E_range": [-0.3, -0.7]}},
                 "problem.E_range must have lo < hi, got [-0.3, -0.7]",
             ),
+            (
+                {"problem": {"E_range": [-1e308, 1e308]}},
+                "problem.E_range must have a finite width hi - lo, got [-1e+308, 1e+308]",
+            ),
             ({"output": {"directory": None}}, "output.directory must be a string, got null"),
         ],
         ids=["null", "true", "string", "integer", "one-of-null", "one-of-string",
-             "range-true", "range-order", "directory-null"],
+             "range-true", "range-order", "range-width", "directory-null"],
     )
     def test_offending_value_echoed_as_json(self, overrides, message):
         with pytest.raises(ConfigError) as err:
             cli.validate_config(overrides)
         assert str(err.value) == message
+
+    def test_sampling_kind_choices_are_the_grid_kinds(self):
+        check = {name: check for name, _, check in cli._SCHEMA}["sampling.kind"]
+        assert inspect.getclosurevars(check).nonlocals["choices"] == sampling.GRID_KINDS
+        for kind in sampling.GRID_KINDS:
+            cli.validate_config({"sampling": {"kind": kind}})
 
     def test_sample_representation_key_rejected(self, tmp_path, capsys):
         # samples are always x*R(x); the key that chose R(x) instead is gone
@@ -180,6 +193,43 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("numerical error: derivatives of the interpolant")
         assert "[0.0, 1e-155]" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen-basis", "solve", "scan-energy", "compare-bases"])
+    def test_sampling_domain_too_narrow_for_the_grid(self, tmp_path, capsys, command):
+        # [1, 1 + 2 eps] holds two doubles, so 20 grid points collapse
+        b = 1.0000000000000002
+        domain = {"a": 1.0, "b": b}
+        cfg = write_config(tmp_path, {"sampling": domain, "problem": domain})
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([command, "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "numerical error: 20 uniform grid points are not strictly increasing on the "
+            "sampling domain [1.0, 1.0000000000000002]; the domain is too narrow\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, problem, message",
+        [
+            ("solve", {"E": 1.7e308}, "the collocation system is not finite"),
+            ("solve", {"E": -1.7e308}, "the collocation system is not finite"),
+            ("scan-energy", {"E_range": [1e308, 1.7e308]}, "no scan point solved successfully"),
+            ("compare-bases", {"E": 1.7e308}, "Numerov step instability at grid index 1"),
+            ("compare-bases", {"E": -1.7e308}, "Numerov step instability at grid index 1"),
+        ],
+        ids=["solve-E+", "solve-E-", "scan", "compare-E+", "compare-E-"],
+    )
+    def test_energy_near_the_largest_double(self, tmp_path, capsys, command, problem, message):
+        # the interior rows (V - E) phi and the oracle's 2 (V - E) overflow
+        cfg = write_config(tmp_path, {"problem": problem})
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([command, "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"numerical error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["solve", "scan-energy", "compare-bases"])
@@ -513,7 +563,7 @@ class TestGenBasis:
         basis = cli.run_pipeline(cli.validate_config({})).basis
         _, rows = read_csv(out / "basis.csv")
         table = np.array(rows, dtype=float)
-        assert np.array_equal(table[:, 0], basis.grid.points)
+        assert np.array_equal(table[:, 0], basis.points)
         assert np.array_equal(table[:, 1:], basis.vectors)
         _, rows = read_csv(out / "eigenvalues.csv")
         assert np.array_equal(np.array(rows, dtype=float)[:, 1], basis.eigenvalues)
@@ -859,7 +909,7 @@ class TestCompareBases:
         out = tmp_path / "out"
         assert run(["compare-bases", "--config", str(cfg), "--out-dir", str(out)]) == 0
         _, rows = read_csv(out / "comparison.csv")
-        trace = float(np.trace(reproduction_pipeline["cov"].K))
+        trace = float(np.trace(reproduction_pipeline["cov"]))
         for row in rows:
             assert float(row[2]) <= 1e-9 * trace
 

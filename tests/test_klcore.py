@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 
 from klbasis import klcore
 from klbasis.errors import NumericalError
-from klbasis.sampling import GridKind, make_grid
+from klbasis.sampling import make_grid
 from klbasis.klcore import (
-    CovarianceMatrix,
     EnergyFraction,
     FixedM,
     KLBasis,
@@ -21,33 +20,35 @@ from klbasis.klcore import (
 
 
 def unit_grid(n):
-    return make_grid(GridKind.UNIFORM, n, 0.0, 1.0)
+    return make_grid("uniform", n, 0.0, 1.0)
 
 
 def eig(K):
     """`eig_sym` of K on an n-point grid, for tests where the points do not matter."""
-    return eig_sym(K, unit_grid(K.n))
+    return eig_sym(K, unit_grid(len(K)))
 
 
 def random_psd(n, seed):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, n + 3))
     K = A @ A.T / (n + 3)
-    return CovarianceMatrix(0.5 * (K + K.T))
+    return 0.5 * (K + K.T)
 
 
 class TestCentering:
     def test_identical_columns_annihilated(self):
         Y = np.column_stack([np.arange(5.0), np.arange(5.0)])
-        assert np.all(center_columns(Y).values == 0.0)
+        assert np.all(center_columns(Y) == 0.0)
 
     def test_hand_example(self):
         out = center_columns(np.array([[1.0, 3.0], [2.0, 2.0]]))
-        assert out.values.tolist() == [[-1.0, 1.0], [0.0, 0.0]]
+        assert out.tolist() == [[-1.0, 1.0], [0.0, 0.0]]
 
     def test_rejects_single_column(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least 2 columns"):
             center_columns(np.ones((4, 1)))
+        with pytest.raises(ValueError, match="2-d"):
+            center_columns(np.ones(4))
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -55,39 +56,39 @@ class TestCentering:
         rng = np.random.default_rng(seed)
         Y = rng.uniform(-5, 5, size=(6, 9))
         out = center_columns(Y)
-        scale = np.max(np.abs(out.values), initial=1e-300)
-        assert np.max(np.abs(out.values.sum(axis=1))) <= 1e-12 * 9 * scale
+        scale = np.max(np.abs(out), initial=1e-300)
+        assert np.max(np.abs(out.sum(axis=1))) <= 1e-12 * 9 * scale
 
 
 class TestCovariance:
     def test_hand_example(self):
         Yc = center_columns(np.array([[1.0, 3.0], [2.0, 2.0]]))
         K = covariance(Yc)
-        assert K.K.tolist() == [[1.0, 0.0], [0.0, 0.0]]
+        assert K.tolist() == [[1.0, 0.0], [0.0, 0.0]]
 
     def test_zero_input(self):
         Yc = center_columns(np.zeros((3, 4)))
-        assert np.all(covariance(Yc).K == 0.0)
+        assert np.all(covariance(Yc) == 0.0)
 
     def test_trace_identity(self, reproduction_pipeline):
         Yc = reproduction_pipeline["centered"]
-        K = reproduction_pipeline["cov"].K
-        frob = np.sum(Yc.values**2) / Yc.values.shape[1]
+        K = reproduction_pipeline["cov"]
+        frob = np.sum(Yc**2) / Yc.shape[1]
         assert abs(np.trace(K) - frob) <= 1e-12 * frob
 
     def test_exact_symmetry(self, reproduction_pipeline):
-        K = reproduction_pipeline["cov"].K
+        K = reproduction_pipeline["cov"]
         assert np.array_equal(K, K.T)
 
 
 class TestEigSym:
     def test_identity(self):
-        basis = eig(CovarianceMatrix(np.eye(4)))
+        basis = eig(np.eye(4))
         assert np.all(basis.eigenvalues == 1.0)
         assert np.array_equal(basis.vectors, np.eye(4))
 
     def test_two_by_two(self):
-        basis = eig(CovarianceMatrix(np.array([[2.0, 1.0], [1.0, 2.0]])))
+        basis = eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
         assert basis.eigenvalues == pytest.approx([3.0, 1.0], abs=1e-12)
         s = 1.0 / np.sqrt(2.0)
         assert basis.vectors[:, 0] == pytest.approx([s, s], abs=1e-12)
@@ -95,7 +96,7 @@ class TestEigSym:
         assert basis.vectors[:, 1] == pytest.approx([s, -s], abs=1e-12)
 
     def test_diagonal(self):
-        basis = eig(CovarianceMatrix(np.diag([5.0, 2.0, 9.0])))
+        basis = eig(np.diag([5.0, 2.0, 9.0]))
         assert basis.eigenvalues.tolist() == [9.0, 5.0, 2.0]
         expected = np.zeros((3, 3))
         expected[2, 0] = expected[0, 1] = expected[1, 2] = 1.0
@@ -105,12 +106,12 @@ class TestEigSym:
         for seed in (0, 1, 2):
             K = random_psd(12, seed)
             ours = eig(K)
-            ref = np.linalg.eigvalsh(K.K)[::-1]
+            ref = np.linalg.eigvalsh(K)[::-1]
             assert np.allclose(ours.eigenvalues, ref, rtol=0, atol=1e-12 * max(ref[0], 1.0))
 
     def test_invariants_on_reproduction_config(self, reproduction_pipeline):
         basis = reproduction_pipeline["basis"]
-        K = reproduction_pipeline["cov"].K
+        K = reproduction_pipeline["cov"]
         lam, phi = basis.eigenvalues, basis.vectors
         assert np.all(np.diff(lam) <= 0)
         assert np.all(lam >= -1e-12 * np.trace(K))
@@ -119,15 +120,14 @@ class TestEigSym:
         assert abs(lam.sum() - np.trace(K)) <= 1e-12 * np.trace(K)
 
     def test_deterministic(self, reproduction_pipeline):
-        again = eig_sym(reproduction_pipeline["cov"], grid=reproduction_pipeline["grid"])
+        again = eig_sym(reproduction_pipeline["cov"], reproduction_pipeline["points"])
         assert np.array_equal(again.vectors, reproduction_pipeline["basis"].vectors)
         assert np.array_equal(again.eigenvalues, reproduction_pipeline["basis"].eigenvalues)
 
     def test_scale_equivariance(self, reproduction_pipeline):
-        Yc = reproduction_pipeline["centered"].values
+        Yc = reproduction_pipeline["centered"]
         base = reproduction_pipeline["basis"]
-        grid = reproduction_pipeline["grid"]
-        scaled = eig_sym(covariance(klcore.CenteredMatrix(3.0 * Yc)), grid)
+        scaled = eig_sym(covariance(3.0 * Yc), reproduction_pipeline["points"])
         # eigenvalues at the rounding floor of the spectrum cannot carry a
         # relative comparison; allow dust at the 1e-14 * lambda_0 level
         dust = 1e-14 * 9.0 * base.eigenvalues[0]
@@ -145,14 +145,24 @@ class TestEigSym:
         with pytest.raises(NumericalError):
             eig(random_psd(4, 0))
 
+    def test_rejects_a_matrix_not_square_or_not_exactly_symmetric(self):
+        with pytest.raises(ValueError, match="must be square"):
+            eig_sym(np.ones((3, 2)), unit_grid(3))
+        with pytest.raises(ValueError, match="must be square"):
+            eig_sym(np.ones(3), unit_grid(3))
+        K = random_psd(4, 0)
+        K[0, 1] = np.nextafter(K[0, 1], np.inf)
+        with pytest.raises(ValueError, match="must be exactly symmetric"):
+            eig(K)
+
 
 class TestTruncation:
     def test_energy_fraction_hand_case(self):
-        basis = eig(CovarianceMatrix(np.diag([5.0, 2.0, 9.0])))
+        basis = eig(np.diag([5.0, 2.0, 9.0]))
         assert truncate_basis(basis, EnergyFraction(0.5)).M == 1
 
     def test_fixed_m_full(self):
-        basis = eig(CovarianceMatrix(np.diag([5.0, 2.0, 9.0])))
+        basis = eig(np.diag([5.0, 2.0, 9.0]))
         tb = truncate_basis(basis, FixedM(3))
         assert tb.M == 3
         assert np.array_equal(tb.vectors, basis.vectors)
@@ -163,7 +173,7 @@ class TestTruncation:
         tb = truncate_basis(basis, FixedM(m))
         assert isinstance(tb, KLBasis)
         assert (tb.M, tb.n) == (m, basis.n)
-        assert tb.grid is basis.grid
+        assert tb.points is basis.points
         assert tb.vectors.flags.c_contiguous
         assert np.array_equal(tb.vectors, basis.vectors[:, :m])
         assert np.array_equal(tb.eigenvalues, basis.eigenvalues[:m])
@@ -171,14 +181,14 @@ class TestTruncation:
     def test_rows_must_match_the_grid(self, reproduction_pipeline):
         basis = reproduction_pipeline["basis"]
         with pytest.raises(ValueError, match="one row per grid point and 1 to"):
-            KLBasis(basis.eigenvalues[:5], basis.vectors[:-1, :5], basis.grid)
+            KLBasis(basis.eigenvalues[:5], basis.vectors[:-1, :5], basis.points)
         with pytest.raises(ValueError, match="one row per grid point and 1 to"):
             KLBasis(basis.eigenvalues[:3], np.eye(3), unit_grid(4))
         with pytest.raises(ValueError, match="one row per grid point and 1 to"):
-            KLBasis(basis.eigenvalues[:0], basis.vectors[:, :0], basis.grid)
+            KLBasis(basis.eigenvalues[:0], basis.vectors[:, :0], basis.points)
 
     def test_rejects_out_of_range(self):
-        basis = eig(CovarianceMatrix(np.eye(3)))
+        basis = eig(np.eye(3))
         with pytest.raises(ValueError):
             truncate_basis(basis, FixedM(0))
         with pytest.raises(ValueError):
@@ -208,7 +218,7 @@ class TestTransformAndMse:
     def test_transformed_covariance_diagonal(self, reproduction_pipeline):
         basis = reproduction_pipeline["basis"]
         Yc = reproduction_pipeline["centered"]
-        Z = basis.vectors.T @ Yc.values
+        Z = basis.vectors.T @ Yc
         Kz = Z @ Z.T / Z.shape[1]
         off = Kz - np.diag(np.diag(Kz))
         assert np.max(np.abs(off)) <= 1e-10 * basis.eigenvalues[0]
@@ -216,13 +226,13 @@ class TestTransformAndMse:
     def test_complete_basis_zero_mse(self, reproduction_pipeline):
         Yc = reproduction_pipeline["centered"]
         basis = reproduction_pipeline["basis"]
-        trace = np.trace(reproduction_pipeline["cov"].K)
+        trace = np.trace(reproduction_pipeline["cov"])
         assert reconstruction_mse(Yc, basis, 20) <= 1e-10 * trace
 
     def test_mse_equals_eigenvalue_tail(self, reproduction_pipeline):
         Yc = reproduction_pipeline["centered"]
         basis = reproduction_pipeline["basis"]
-        trace = np.trace(reproduction_pipeline["cov"].K)
+        trace = np.trace(reproduction_pipeline["cov"])
         for m in range(1, 21):
             tail = float(basis.eigenvalues[m:].sum())
             assert abs(reconstruction_mse(Yc, basis, m) - tail) <= 1e-9 * trace
@@ -235,13 +245,13 @@ class TestTransformAndMse:
     def test_kl_beats_random_bases(self, reproduction_pipeline):
         Yc = reproduction_pipeline["centered"]
         basis = reproduction_pipeline["basis"]
-        trace = np.trace(reproduction_pipeline["cov"].K)
+        trace = np.trace(reproduction_pipeline["cov"])
         rng = np.random.default_rng(20080556)
         for _ in range(20):
             A = rng.standard_normal((20, 20))
             Q, R = np.linalg.qr(A)
             Q = Q * np.sign(np.diag(R))
-            energies = np.sum((Q.T @ Yc.values) ** 2, axis=1) / Yc.values.shape[1]
+            energies = np.sum((Q.T @ Yc) ** 2, axis=1) / Yc.shape[1]
             order = np.argsort(-energies)
             for m in (1, 4, 8, 15, 20):
                 kl_mse = reconstruction_mse(Yc, basis, m)
@@ -278,7 +288,7 @@ def _loop_sign_convention(phi):
 class TestSignConvention:
     @pytest.mark.parametrize("n", [1, 2, 12, 80])
     def test_bit_identical_to_per_column_loop(self, n):
-        lam, V = np.linalg.eigh(random_psd(n, n).K)
+        lam, V = np.linalg.eigh(random_psd(n, n))
         phi = V[:, np.argsort(-lam, kind="stable")]
         ours = klcore._apply_sign_convention(phi)
         assert np.array_equal(ours, _loop_sign_convention(phi))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from klbasis.csvio import read_csv, write_text
+from klbasis.errors import NumericalError
 from klbasis.hydrogenic import (
     OrbitalSpec,
     RadialFamily,
@@ -14,8 +15,7 @@ from klbasis.hydrogenic import (
     radial_wavefunction,
 )
 from klbasis.sampling import (
-    Grid,
-    GridKind,
+    GRID_KINDS,
     build_sample_matrix,
     make_grid,
     sample_matrix_csv_text,
@@ -24,31 +24,32 @@ from klbasis.sampling import (
 
 class TestMakeGrid:
     def test_uniform_three_points(self):
-        g = make_grid(GridKind.UNIFORM, 3, 0.0, 1.0)
-        assert g.points.tolist() == [0.0, 0.5, 1.0]
+        assert make_grid("uniform", 3, 0.0, 1.0).tolist() == [0.0, 0.5, 1.0]
 
     def test_chebyshev_three_points(self):
-        g = make_grid(GridKind.CHEBYSHEV_LOBATTO, 3, -1.0, 1.0)
-        assert np.allclose(g.points, [-1.0, 0.0, 1.0], atol=1e-15)
+        g = make_grid("chebyshev-lobatto", 3, -1.0, 1.0)
+        assert np.allclose(g, [-1.0, 0.0, 1.0], atol=1e-15)
 
     def test_chebyshev_five_points(self):
-        g = make_grid(GridKind.CHEBYSHEV_LOBATTO, 5, 0.0, 1.0)
+        g = make_grid("chebyshev-lobatto", 5, 0.0, 1.0)
         expected = [0.0, 0.14644660940672624, 0.5, 0.8535533905932737, 1.0]
-        assert np.allclose(g.points, expected, atol=1e-14)
+        assert np.allclose(g, expected, atol=1e-14)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            make_grid(GridKind.UNIFORM, 1, 0.0, 1.0)
+            make_grid("uniform", 1, 0.0, 1.0)
         with pytest.raises(ValueError):
-            make_grid(GridKind.UNIFORM, 5, 1.0, 1.0)
+            make_grid("uniform", 5, 1.0, 1.0)
         with pytest.raises(ValueError):
-            make_grid(GridKind.UNIFORM, 5, 2.0, 1.0)
+            make_grid("uniform", 5, 2.0, 1.0)
+        with pytest.raises(ValueError, match="unknown grid kind 'gauss'"):
+            make_grid("gauss", 5, 0.0, 1.0)
 
     def test_endpoints_exact(self):
-        for kind in GridKind:
+        for kind in GRID_KINDS:
             g = make_grid(kind, 17, 0.3, 41.7)
-            assert g.points[0] == 0.3
-            assert g.points[-1] == 41.7
+            assert g[0] == 0.3
+            assert g[-1] == 41.7
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -57,56 +58,57 @@ class TestMakeGrid:
         width=st.floats(min_value=1e-3, max_value=200.0),
     )
     def test_chebyshev_symmetry(self, n, a, width):
-        g = make_grid(GridKind.CHEBYSHEV_LOBATTO, n, a, a + width)
-        sums = g.points + g.points[::-1]
+        g = make_grid("chebyshev-lobatto", n, a, a + width)
+        sums = g + g[::-1]
         scale = max(abs(a), abs(a + width), 1.0)
         assert np.max(np.abs(sums - (2 * a + width))) <= 1e-14 * scale
 
     def test_grid_invariants_enforced(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            Grid(kind=GridKind.UNIFORM, points=np.array([0.0, 0.0, 1.0]))
-        with pytest.raises(ValueError, match="at least 2 points"):
-            Grid(kind=GridKind.UNIFORM, points=np.array([0.1]))
+        # [1, 1 + 2 eps] holds two doubles: room for 2 points, not for 3
+        a, b = 1.0, 1.0000000000000002
+        named = r"on the sampling domain \[1.0, 1.0000000000000002\]"
+        for kind in GRID_KINDS:
+            assert make_grid(kind, 2, a, b).tolist() == [a, b]
+            with pytest.raises(NumericalError, match=named):
+                make_grid(kind, 3, a, b)
 
-    @pytest.mark.parametrize("kind", list(GridKind))
+    @pytest.mark.parametrize("kind", GRID_KINDS)
     def test_a_and_b_are_the_endpoints(self, kind):
         g = make_grid(kind, 17, 0.3, 41.7)
-        assert (g.a, g.b) == (0.3, 41.7) == (g.points[0], g.points[-1])
-        assert type(g.a) is float and type(g.b) is float
-        g = Grid(kind=kind, points=np.array([-2.0, 0.5, 3.25]))
-        assert (g.a, g.b) == (-2.0, 3.25)
+        assert g.shape == (17,) and g.dtype == float
+        assert (g[0], g[-1]) == (0.3, 41.7)
+        assert np.all(np.diff(g) > 0)
 
 
 class TestSampleMatrix:
     def test_family_has_28_columns(self, reproduction_pipeline):
-        assert reproduction_pipeline["sample"].values.shape == (20, 28)
+        assert reproduction_pipeline["sample"].shape == (20, 28)
 
     def test_reduced_representation_zero_first_row(self, reproduction_pipeline):
-        assert np.all(reproduction_pipeline["sample"].values[0] == 0.0)
+        assert np.all(reproduction_pipeline["sample"][0] == 0.0)
 
     def test_single_orbital_column(self):
         # x R_10(x) is 0 at the origin and R_10(1) = 2/e at x = 1
         fam = RadialFamily(orbitals=(OrbitalSpec(1, 0),))
-        grid = make_grid(GridKind.UNIFORM, 2, 0.0, 1.0)
-        sm = build_sample_matrix(fam, grid)
-        assert sm.values[:, 0] == pytest.approx([0.0, 0.7357588823428847], abs=1e-12)
+        sm = build_sample_matrix(fam, make_grid("uniform", 2, 0.0, 1.0))
+        assert sm[:, 0] == pytest.approx([0.0, 0.7357588823428847], abs=1e-12)
 
     def test_column_permutation_equivariance(self):
-        grid = make_grid(GridKind.UNIFORM, 7, 0.0, 20.0)
+        grid = make_grid("uniform", 7, 0.0, 20.0)
         orbs = (OrbitalSpec(1, 0), OrbitalSpec(2, 1), OrbitalSpec(3, 0))
         fwd = build_sample_matrix(RadialFamily(orbitals=orbs), grid)
         rev = build_sample_matrix(RadialFamily(orbitals=orbs[::-1]), grid)
-        assert np.array_equal(fwd.values, rev.values[:, ::-1])
+        assert np.array_equal(fwd, rev[:, ::-1])
 
     def test_deterministic(self, family28):
-        grid = make_grid(GridKind.UNIFORM, 9, 0.0, 40.0)
+        grid = make_grid("uniform", 9, 0.0, 40.0)
         a = build_sample_matrix(family28, grid)
         b = build_sample_matrix(family28, grid)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
-    def test_csv_layout_and_roundtrip(self, tmp_path, reproduction_pipeline):
+    def test_csv_layout_and_roundtrip(self, tmp_path, family28, reproduction_pipeline):
         sample = reproduction_pipeline["sample"]
-        text = sample_matrix_csv_text(sample)
+        text = sample_matrix_csv_text(family28, reproduction_pipeline["points"], sample)
         lines = text.strip().split("\n")
         header = lines[0].split(",")
         assert header[:4] == ["x", "orb_1s", "orb_2s", "orb_2p"]
@@ -117,7 +119,7 @@ class TestSampleMatrix:
         assert hdr == header
         # 17 significant digits round-trip exactly
         back = np.array([[float(c) for c in row[1:]] for row in rows])
-        assert np.array_equal(back, sample.values)
+        assert np.array_equal(back, sample)
 
 
 def _loop_laguerre(k, alpha, x):
@@ -148,20 +150,19 @@ class TestFamilyPass:
     @pytest.mark.parametrize(
         "n_max, Z, kind, n_s, b",
         [
-            (7, 1.0, GridKind.UNIFORM, 20, 40.0),
-            (10, 1.0, GridKind.CHEBYSHEV_LOBATTO, 80, 80.0),
-            (30, 1.0, GridKind.CHEBYSHEV_LOBATTO, 300, 1800.0),
-            (7, 2.0, GridKind.UNIFORM, 20, 40.0),
+            (7, 1.0, "uniform", 20, 40.0),
+            (10, 1.0, "chebyshev-lobatto", 80, 80.0),
+            (30, 1.0, "chebyshev-lobatto", 300, 1800.0),
+            (7, 2.0, "uniform", 20, 40.0),
         ],
         ids=["default", "wide", "n_max-30", "Z-2"],
     )
     def test_bit_identical_to_per_orbital_loop(self, n_max, Z, kind, n_s, b):
         family = make_family(n_max, Z)
-        grid = make_grid(kind, n_s, 0.0, b)
-        x = grid.points
+        x = make_grid(kind, n_s, 0.0, b)
         columns = [_loop_radial(orb, x) for orb in family.orbitals]
         want = np.column_stack([x * col for col in columns])
-        values = build_sample_matrix(family, grid).values
+        values = build_sample_matrix(family, x)
         assert values.flags.c_contiguous
         assert np.array_equal(values, want)
         # far out a finite product that underflows keeps its sign: -0.0
@@ -198,8 +199,7 @@ class TestFamilyPass:
     )
     def test_bad_grid_point_rejected(self, points, message):
         pts = np.array(points)
-        grid = Grid(kind=GridKind.UNIFORM, points=pts)
         with pytest.raises(ValueError, match=f"^{message}$"):
-            build_sample_matrix(make_family(3), grid)
+            build_sample_matrix(make_family(3), pts)
         with pytest.raises(ValueError, match=f"^{message}$"):
             radial_wavefunction(OrbitalSpec(2, 1), pts)

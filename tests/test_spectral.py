@@ -12,7 +12,7 @@ from klbasis.hydrogenic import (
     numerov_oracle,
     reduced_ground_state,
 )
-from klbasis.sampling import GridKind, make_grid
+from klbasis.sampling import make_grid
 from klbasis.spectral import (
     assemble,
     energy_scan,
@@ -26,7 +26,7 @@ from klbasis.spectral import (
 def eigenmode_basis(extra=()):
     """Exact reduced ground state interpolated on a fine grid, plus any
     extra sample vectors on the same nodes."""
-    nodes = make_grid(GridKind.CHEBYSHEV_LOBATTO, 30, 0.0, 7.0).points
+    nodes = make_grid("chebyshev-lobatto", 30, 0.0, 7.0)
     columns = [nodes * np.exp(-nodes)] + [samples(nodes) for samples in extra]
     return nodes, basisfn.BasisFunction(nodes, np.column_stack(columns))
 
@@ -112,7 +112,7 @@ class TestAssemble:
             assert np.array_equal(rows, assemble(at_e)[0][:-2])
 
     def test_domain_not_covered_rejected(self):
-        nodes = make_grid(GridKind.CHEBYSHEV_LOBATTO, 10, 0.0, 5.0).points
+        nodes = make_grid("chebyshev-lobatto", 10, 0.0, 5.0)
         funcs = basisfn.BasisFunction(nodes, np.sin(nodes)[:, None])
         with pytest.raises(ValueError):
             make_collocation_problem(GROUND_BVP, funcs)
@@ -181,7 +181,7 @@ class TestSolve:
 
     def test_degenerate_basis_that_cannot_meet_boundary(self):
         # every mode vanishes at both endpoints: y(b) = 1e-4 is unreachable
-        nodes = make_grid(GridKind.CHEBYSHEV_LOBATTO, 12, 0.0, 7.0).points
+        nodes = make_grid("chebyshev-lobatto", 12, 0.0, 7.0)
         funcs = basisfn.BasisFunction(
             nodes, np.column_stack([np.sin(k * np.pi * nodes / 7.0) for k in (1, 2, 3)])
         )
