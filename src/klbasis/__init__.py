@@ -7,7 +7,6 @@ from .hydrogenic import (
     BoundaryValueProblem,
     NumerovSolution,
     OrbitalSpec,
-    RadialFamily,
     family_values,
     laguerre,
     make_family,
@@ -19,12 +18,11 @@ from .hydrogenic import (
 )
 from .sampling import GRID_KINDS, build_sample_matrix, make_grid
 from .klcore import (
-    EnergyFraction,
-    FixedM,
     KLBasis,
     center_columns,
     covariance,
     eig_sym,
+    energy_fraction_modes,
     projection_mse,
     reconstruction_mse,
     truncate_basis,

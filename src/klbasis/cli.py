@@ -35,7 +35,6 @@ from .errors import ConfigError, NumericalError
 from .hydrogenic import (
     BoundaryValueProblem,
     OrbitalSpec,
-    RadialFamily,
     make_family,
     numerov_oracle,
     reduced_eigenstate,
@@ -233,7 +232,7 @@ def validate_config(doc: dict, overrides: dict | None = None) -> dict:
 
 @dataclass(frozen=True)
 class PipelineResult:
-    family: RadialFamily
+    family: tuple[OrbitalSpec, ...]
     samples: np.ndarray
     centered: np.ndarray
     K: np.ndarray
@@ -256,10 +255,10 @@ def run_pipeline(config: dict) -> PipelineResult:
         raise NumericalError(f"the sample covariance has trace {trace}, so it defines no basis")
     basis = klcore.eig_sym(K, points)
     if trunc["criterion"] == "fixed_m":
-        criterion = klcore.FixedM(int(trunc["value"]))
+        m = int(trunc["value"])
     else:
-        criterion = klcore.EnergyFraction(float(trunc["value"]))
-    truncated = klcore.truncate_basis(basis, criterion)
+        m = klcore.energy_fraction_modes(basis, float(trunc["value"]))
+    truncated = klcore.truncate_basis(basis, m)
     return PipelineResult(
         family=family, samples=samples, centered=centered, K=K, basis=basis,
         truncated=truncated, interpolant=basisfn.interpolate(truncated),

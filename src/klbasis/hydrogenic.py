@@ -28,7 +28,6 @@ _FINFO = np.finfo(float)
 
 __all__ = [
     "OrbitalSpec",
-    "RadialFamily",
     "BoundaryValueProblem",
     "NumerovSolution",
     "laguerre",
@@ -77,36 +76,14 @@ class OrbitalSpec:
         return f"{self.n}[l={self.l}]"
 
 
-@dataclass(frozen=True)
-class RadialFamily:
-    """An ordered collection of orbitals sampled together."""
-
-    orbitals: tuple[OrbitalSpec, ...]
-
-    def __post_init__(self):
-        if not self.orbitals:
-            raise ValueError("family must contain at least one orbital")
-
-    @property
-    def count(self) -> int:
-        return len(self.orbitals)
-
-    @property
-    def labels(self) -> list[str]:
-        return [orb.label for orb in self.orbitals]
-
-
-def make_family(n_max: int, Z: float = 1.0) -> RadialFamily:
+def make_family(n_max: int, Z: float = 1.0) -> tuple[OrbitalSpec, ...]:
     """All (n, l) orbitals with n = 1..n_max and l = 0..n-1, in that order.
 
     n_max = 7 gives the 28-orbital family used throughout this package.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    orbitals = tuple(
-        OrbitalSpec(n=n, l=l, Z=Z) for n in range(1, n_max + 1) for l in range(n)
-    )
-    return RadialFamily(orbitals=orbitals)
+    return tuple(OrbitalSpec(n=n, l=l, Z=Z) for n in range(1, n_max + 1) for l in range(n))
 
 
 @dataclass(frozen=True)
@@ -203,17 +180,19 @@ def laguerre(k, alpha, x):
     return out if out.ndim else float(out)
 
 
-def family_values(family: RadialFamily, r) -> np.ndarray:
+def family_values(family: tuple[OrbitalSpec, ...], r) -> np.ndarray:
     """R_{nl}(r) for every orbital of the family in one pass (r >= 0, scalar
-    or array, in Bohr radii): a C-ordered r.shape + (family.count,) array,
+    or array, in Bohr radii): a C-ordered r.shape + (len(family),) array,
     one column per orbital in family order."""
+    if not family:
+        raise ValueError("family must contain at least one orbital")
     ra = np.asarray(r, dtype=float)
     if not np.all(np.isfinite(ra)):
         raise ValueError("r must be finite")
     if np.any(ra < 0):
         raise ValueError("r must be non-negative")
     n, l, Z, log_norm = (
-        np.array(col) for col in zip(*((o.n, o.l, o.Z, o.log_norm) for o in family.orbitals))
+        np.array(col) for col in zip(*((o.n, o.l, o.Z, o.log_norm) for o in family))
     )
     rho = 2.0 * Z * ra[..., None] / n
     # N * exp(-rho/2) * rho^l in log space, since N underflows where
@@ -233,7 +212,7 @@ def family_values(family: RadialFamily, r) -> np.ndarray:
 def radial_wavefunction(orb: OrbitalSpec, r):
     """Evaluate R_{nl}(r) for r >= 0 (scalar or array, in Bohr radii): the
     one-orbital case of `family_values`."""
-    vals = family_values(RadialFamily((orb,)), r)[..., 0]
+    vals = family_values((orb,), r)[..., 0]
     return vals if vals.ndim else float(vals)
 
 
@@ -482,8 +461,7 @@ def numerov_oracle(bvp: BoundaryValueProblem, n_points: int) -> NumerovSolution:
         raise ValueError(f"n_points must be >= 1000, got {n_points}")
     x = np.linspace(bvp.a, bvp.b, n_points)
     h = (bvp.b - bvp.a) / (n_points - 1)
-    # at |E| near the largest double g overflows; the sweep then reports
-    # the instability
+    # at |E| near the largest double g overflows before any step
     with np.errstate(over="ignore", invalid="ignore"):
         g = 2.0 * (_oracle_potential(bvp, x) - bvp.E)
         incr = (h * h) * g
@@ -491,6 +469,8 @@ def numerov_oracle(bvp: BoundaryValueProblem, n_points: int) -> NumerovSolution:
 
     if bvp.y_f == 0.0 and bvp.y_a == 0.0:
         return NumerovSolution(x=x, y=np.zeros(n_points), slope=0.0, iterations=0)
+    if not (np.isfinite(g).all() and np.isfinite(incr).all() and np.isfinite(coef).all()):
+        raise NumericalError(f"the Numerov coefficients overflow a double at E = {bvp.E}")
 
     if bvp.a == 0.0 and bvp.y_a == 0.0:
         seed1 = float(_regular_series(bvp, x[1]))

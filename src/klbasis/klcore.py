@@ -18,12 +18,11 @@ from .errors import NumericalError
 
 __all__ = [
     "KLBasis",
-    "FixedM",
-    "EnergyFraction",
     "center_columns",
     "covariance",
     "eig_sym",
     "truncate_basis",
+    "energy_fraction_modes",
     "reconstruction_mse",
     "projection_mse",
     "eigenvalues_csv_text",
@@ -93,20 +92,6 @@ class KLBasis:
         return self.points.size
 
 
-@dataclass(frozen=True)
-class FixedM:
-    """Keep exactly M modes."""
-
-    M: int
-
-
-@dataclass(frozen=True)
-class EnergyFraction:
-    """Keep the smallest M whose eigenvalue sum reaches fraction f of the total."""
-
-    f: float
-
-
 def _apply_sign_convention(phi: np.ndarray) -> np.ndarray:
     """Flip columns so each one's largest-magnitude entry is positive,
     ties broken by the lowest index. The result is C-ordered: the BLAS
@@ -141,28 +126,23 @@ def eig_sym(K: np.ndarray, points: np.ndarray) -> KLBasis:
     return KLBasis(eigenvalues=lam, vectors=V, points=points)
 
 
-def truncate_basis(basis: KLBasis, criterion: FixedM | EnergyFraction) -> KLBasis:
-    """Keep the leading modes, either a fixed count or enough of them to
-    capture a fraction of the total eigenvalue sum."""
-    m_max = basis.M
-    if isinstance(criterion, FixedM):
-        m = criterion.M
-        if not 1 <= m <= m_max:
-            raise ValueError(f"M must be in [1, {m_max}], got {m}")
-    elif isinstance(criterion, EnergyFraction):
-        f = criterion.f
-        if not 0.0 < f <= 1.0:
-            raise ValueError(f"energy fraction must be in (0, 1], got {f}")
-        total = float(basis.eigenvalues.sum())
-        if total <= 0.0:
-            m = 1
-        else:
-            cum = np.cumsum(basis.eigenvalues)
-            m = int(np.searchsorted(cum, f * total) + 1)
-            m = min(m, m_max)
-    else:
-        raise TypeError(f"unsupported truncation criterion: {criterion!r}")
+def truncate_basis(basis: KLBasis, m: int) -> KLBasis:
+    """The leading m modes of the basis, 1 <= m <= M."""
+    if not 1 <= m <= basis.M:
+        raise ValueError(f"M must be in [1, {basis.M}], got {m}")
     return KLBasis(basis.eigenvalues[:m].copy(), basis.vectors[:, :m].copy(), basis.points)
+
+
+def energy_fraction_modes(basis: KLBasis, f: float) -> int:
+    """The smallest mode count whose eigenvalue sum reaches fraction f of
+    the total, 0 < f <= 1; 1 when the total is not positive."""
+    if not 0.0 < f <= 1.0:
+        raise ValueError(f"energy fraction must be in (0, 1], got {f}")
+    total = float(basis.eigenvalues.sum())
+    if total <= 0.0:
+        return 1
+    cum = np.cumsum(basis.eigenvalues)
+    return min(int(np.searchsorted(cum, f * total) + 1), basis.M)
 
 
 def projection_mse(Yc: np.ndarray, B: np.ndarray) -> float:

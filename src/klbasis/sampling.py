@@ -12,7 +12,7 @@ import numpy as np
 
 from . import csvio
 from .errors import NumericalError
-from .hydrogenic import RadialFamily, family_values
+from .hydrogenic import OrbitalSpec, family_values
 
 __all__ = [
     "GRID_KINDS",
@@ -55,7 +55,7 @@ def make_grid(kind: str, n_s: int, a: float, b: float) -> np.ndarray:
     return pts
 
 
-def build_sample_matrix(family: RadialFamily, points: np.ndarray) -> np.ndarray:
+def build_sample_matrix(family: tuple[OrbitalSpec, ...], points: np.ndarray) -> np.ndarray:
     """Sample every orbital of the family at the points, the whole family
     in one pass: values[i, j] = x_i * R_j(x_i), the reduced radial form
     that vanishes at the origin."""
@@ -63,6 +63,8 @@ def build_sample_matrix(family: RadialFamily, points: np.ndarray) -> np.ndarray:
     return x[:, None] * family_values(family, x)
 
 
-def sample_matrix_csv_text(family: RadialFamily, points: np.ndarray, values: np.ndarray) -> str:
-    header = ["x"] + [f"orb_{lbl}" for lbl in family.labels]
+def sample_matrix_csv_text(
+    family: tuple[OrbitalSpec, ...], points: np.ndarray, values: np.ndarray
+) -> str:
+    header = ["x"] + [f"orb_{orb.label}" for orb in family]
     return csvio.csv_text(header, np.column_stack((points, values)))

@@ -167,9 +167,11 @@ def assemble(problem: CollocationProblem) -> tuple[np.ndarray, np.ndarray]:
 
     with V the regularized potential; then one row per boundary condition
     pinning y(a) = y_a and y(b) = y_f. Only the (V - E) diagonal is formed
-    per call.
+    per call. At |E| near the largest double the rows overflow; they are
+    returned as they are, not finite, for the caller to classify.
     """
-    interior = problem._interior.operator(problem.bvp.E)
+    with np.errstate(over="ignore", invalid="ignore"):
+        interior = problem._interior.operator(problem.bvp.E)
     rhs = np.zeros(len(interior) + 2)
     rhs[-2:] = problem.bvp.y_a, problem.bvp.y_f
     return np.vstack((interior, problem._boundary)), rhs

@@ -37,7 +37,7 @@ def reproduction_bvp():
 
 @pytest.fixture(scope="session")
 def reproduction_funcs8(reproduction_pipeline):
-    truncated = klcore.truncate_basis(reproduction_pipeline["basis"], klcore.FixedM(8))
+    truncated = klcore.truncate_basis(reproduction_pipeline["basis"], 8)
     return basisfn.interpolate(truncated)
 
 

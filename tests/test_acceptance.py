@@ -16,7 +16,7 @@ from klbasis.hydrogenic import (
     radial_wavefunction,
     reduced_ground_state,
 )
-from klbasis.klcore import EnergyFraction, FixedM, reconstruction_mse, truncate_basis
+from klbasis.klcore import energy_fraction_modes, reconstruction_mse, truncate_basis
 from klbasis.spectral import energy_scan, make_collocation_problem, residual, solve
 from conftest import scaled_rel_l2
 
@@ -29,7 +29,7 @@ def _report(num: int, ok: bool, detail: str) -> None:
 def test_criterion_1_wavefunction_correctness(family28):
     worst_norm = 0.0
     nodes_ok = True
-    for orb in family28.orbitals:
+    for orb in family28:
         worst_norm = max(worst_norm, abs(radial_norm(orb) - 1.0))
         r = np.linspace(1e-6, 40.0 * orb.n, 60_000)
         vals = radial_wavefunction(orb, r)
@@ -37,7 +37,7 @@ def test_criterion_1_wavefunction_correctness(family28):
         signs = np.sign(vals[keep])
         if int(np.sum(signs[1:] != signs[:-1])) != orb.n - orb.l - 1:
             nodes_ok = False
-    r10_err = abs(radial_wavefunction(family28.orbitals[0], 1.0) - 2.0 * math.exp(-1.0))
+    r10_err = abs(radial_wavefunction(family28[0], 1.0) - 2.0 * math.exp(-1.0))
     ok = worst_norm <= 1e-8 and nodes_ok and r10_err <= 1e-12
     _report(
         1,
@@ -70,10 +70,11 @@ def test_criterion_2_kl_invariants(reproduction_pipeline):
 
 
 def test_criterion_3_eigenvalue_decay(reproduction_pipeline):
-    tb = truncate_basis(reproduction_pipeline["basis"], EnergyFraction(0.9999))
+    basis = reproduction_pipeline["basis"]
+    tb = truncate_basis(basis, energy_fraction_modes(basis, 0.9999))
     # M == 7 is the frozen first-run regression value
     ok = tb.M <= 10 and tb.M == 7
-    _report(3, ok, f"EnergyFraction(0.9999) keeps M={tb.M} modes (<=10; frozen value 7)")
+    _report(3, ok, f"energy_fraction_modes(basis, 0.9999) keeps M={tb.M} modes (<=10; frozen value 7)")
 
 
 def test_criterion_4_kl_optimality(reproduction_pipeline):

@@ -170,7 +170,7 @@ class TestMatrixValued:
 
 class TestInterpolateAndTabulate:
     def test_interpolate_reproduces_samples(self, reproduction_pipeline):
-        tb = klcore.truncate_basis(reproduction_pipeline["basis"], klcore.FixedM(5))
+        tb = klcore.truncate_basis(reproduction_pipeline["basis"], 5)
         f = interpolate(tb)
         assert f.samples.shape == (20, 5)
         nodes = reproduction_pipeline["points"]

@@ -114,7 +114,7 @@ class TestRadialWavefunction:
             assert np.allclose(ours, ref, rtol=1e-12, atol=1e-300)
 
     def test_all_family_orbitals_unit_normalized(self, family28):
-        for orb in family28.orbitals:
+        for orb in family28:
             assert abs(radial_norm(orb) - 1.0) <= 1e-8, orb.label
 
     def test_normalization_against_adaptive_quadrature(self):
@@ -146,7 +146,7 @@ class TestRadialWavefunction:
         assert abs(radial_norm(OrbitalSpec(n, l)) - 1.0) <= 1e-8
 
     def test_node_counts(self, family28):
-        for orb in family28.orbitals:
+        for orb in family28:
             r = np.linspace(1e-6, 40.0 * orb.n, 60_000)
             vals = radial_wavefunction(orb, r)
             keep = np.abs(vals) > 1e-12 * np.max(np.abs(vals))
@@ -366,15 +366,16 @@ class TestBoundaryRule:
 
 class TestFamily:
     def test_family_size_and_order(self, family28):
-        assert family28.count == 28
-        assert family28.labels[:6] == ["1s", "2s", "2p", "3s", "3p", "3d"]
-        assert family28.labels[-1] == "7i"
+        labels = [orb.label for orb in family28]
+        assert len(family28) == 28
+        assert labels[:6] == ["1s", "2s", "2p", "3s", "3p", "3d"]
+        assert labels[-1] == "7i"
 
     def test_labels_beyond_i(self):
-        assert make_family(10).labels[-3:] == ["10k", "10l", "10m"]
+        assert [orb.label for orb in make_family(10)[-3:]] == ["10k", "10l", "10m"]
 
     def test_labels_unique_past_letter_table(self):
-        labels = make_family(25).labels
+        labels = [orb.label for orb in make_family(25)]
         assert len(set(labels)) == len(labels)
         assert OrbitalSpec(21, 20).label == "21z"
         assert OrbitalSpec(22, 21).label == "22[l=21]"

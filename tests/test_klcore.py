@@ -7,12 +7,11 @@ from klbasis import klcore
 from klbasis.errors import NumericalError
 from klbasis.sampling import make_grid
 from klbasis.klcore import (
-    EnergyFraction,
-    FixedM,
     KLBasis,
     center_columns,
     covariance,
     eig_sym,
+    energy_fraction_modes,
     projection_mse,
     reconstruction_mse,
     truncate_basis,
@@ -159,18 +158,18 @@ class TestEigSym:
 class TestTruncation:
     def test_energy_fraction_hand_case(self):
         basis = eig(np.diag([5.0, 2.0, 9.0]))
-        assert truncate_basis(basis, EnergyFraction(0.5)).M == 1
+        assert energy_fraction_modes(basis, 0.5) == 1
 
     def test_fixed_m_full(self):
         basis = eig(np.diag([5.0, 2.0, 9.0]))
-        tb = truncate_basis(basis, FixedM(3))
+        tb = truncate_basis(basis, 3)
         assert tb.M == 3
         assert np.array_equal(tb.vectors, basis.vectors)
 
     @pytest.mark.parametrize("m", [1, 8, 20])
     def test_leading_columns_of_the_same_basis(self, reproduction_pipeline, m):
         basis = reproduction_pipeline["basis"]
-        tb = truncate_basis(basis, FixedM(m))
+        tb = truncate_basis(basis, m)
         assert isinstance(tb, KLBasis)
         assert (tb.M, tb.n) == (m, basis.n)
         assert tb.points is basis.points
@@ -190,20 +189,38 @@ class TestTruncation:
     def test_rejects_out_of_range(self):
         basis = eig(np.eye(3))
         with pytest.raises(ValueError):
-            truncate_basis(basis, FixedM(0))
+            truncate_basis(basis, 0)
         with pytest.raises(ValueError):
-            truncate_basis(basis, FixedM(4))
+            truncate_basis(basis, 4)
         with pytest.raises(ValueError):
-            truncate_basis(basis, EnergyFraction(0.0))
+            energy_fraction_modes(basis, 0.0)
         with pytest.raises(ValueError):
-            truncate_basis(basis, EnergyFraction(1.1))
+            energy_fraction_modes(basis, 1.1)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        eigenvalues=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=12),
+        fractions=st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=2, max_size=2),
+    )
+    def test_energy_fraction_modes_is_the_first_index_reaching_f(self, eigenvalues, fractions):
+        lam = np.sort(eigenvalues)[::-1]
+        basis = KLBasis(lam, np.eye(lam.size), np.arange(lam.size, dtype=float))
+        total = float(lam.sum())
+        cum = np.cumsum(lam).tolist()
+        lo, hi = sorted(fractions)
+        for f in (lo, hi):
+            # past the last partial sum (rounding at f = 1) it keeps all M
+            scan = next((k + 1 for k, c in enumerate(cum) if c >= f * total), basis.M)
+            assert energy_fraction_modes(basis, f) == scan
+            assert 1 <= scan <= basis.M
+        assert energy_fraction_modes(basis, lo) <= energy_fraction_modes(basis, hi)
 
     def test_reproduction_energy_fraction(self, reproduction_pipeline):
         # regression value from the first pipeline run; the claim under
         # test is only M <= 10
-        tb = truncate_basis(reproduction_pipeline["basis"], EnergyFraction(0.9999))
-        assert tb.M == 7
-        assert tb.M <= 10
+        m = energy_fraction_modes(reproduction_pipeline["basis"], 0.9999)
+        assert m == 7
+        assert m <= 10
 
 
 class TestTransformAndMse:

@@ -9,7 +9,6 @@ from klbasis.csvio import read_csv, write_text
 from klbasis.errors import NumericalError
 from klbasis.hydrogenic import (
     OrbitalSpec,
-    RadialFamily,
     family_values,
     make_family,
     radial_wavefunction,
@@ -89,15 +88,14 @@ class TestSampleMatrix:
 
     def test_single_orbital_column(self):
         # x R_10(x) is 0 at the origin and R_10(1) = 2/e at x = 1
-        fam = RadialFamily(orbitals=(OrbitalSpec(1, 0),))
-        sm = build_sample_matrix(fam, make_grid("uniform", 2, 0.0, 1.0))
+        sm = build_sample_matrix((OrbitalSpec(1, 0),), make_grid("uniform", 2, 0.0, 1.0))
         assert sm[:, 0] == pytest.approx([0.0, 0.7357588823428847], abs=1e-12)
 
     def test_column_permutation_equivariance(self):
         grid = make_grid("uniform", 7, 0.0, 20.0)
         orbs = (OrbitalSpec(1, 0), OrbitalSpec(2, 1), OrbitalSpec(3, 0))
-        fwd = build_sample_matrix(RadialFamily(orbitals=orbs), grid)
-        rev = build_sample_matrix(RadialFamily(orbitals=orbs[::-1]), grid)
+        fwd = build_sample_matrix(orbs, grid)
+        rev = build_sample_matrix(orbs[::-1], grid)
         assert np.array_equal(fwd, rev[:, ::-1])
 
     def test_deterministic(self, family28):
@@ -160,14 +158,14 @@ class TestFamilyPass:
     def test_bit_identical_to_per_orbital_loop(self, n_max, Z, kind, n_s, b):
         family = make_family(n_max, Z)
         x = make_grid(kind, n_s, 0.0, b)
-        columns = [_loop_radial(orb, x) for orb in family.orbitals]
+        columns = [_loop_radial(orb, x) for orb in family]
         want = np.column_stack([x * col for col in columns])
         values = build_sample_matrix(family, x)
         assert values.flags.c_contiguous
         assert np.array_equal(values, want)
         # far out a finite product that underflows keeps its sign: -0.0
         assert np.array_equal(np.signbit(values), np.signbit(want))
-        for orb, col in zip(family.orbitals, columns):
+        for orb, col in zip(family, columns):
             assert np.array_equal(radial_wavefunction(orb, x), col)
 
     @pytest.mark.parametrize("n_max, Z", [(7, 1.0), (30, 1.0), (7, 10.0)])
@@ -178,14 +176,14 @@ class TestFamilyPass:
         r = np.array([0.0, 1.0, 1e60, 1e200, 1e300])
         values = family_values(family, r)
         assert np.all(values[2:] == 0.0)
-        expected = np.column_stack([_loop_radial(orb, r[:2]) for orb in family.orbitals])
+        expected = np.column_stack([_loop_radial(orb, r[:2]) for orb in family])
         assert np.array_equal(values[:2], expected)
 
     def test_scalar_radius(self):
         family = make_family(3)
         vals = family_values(family, 1.5)
-        assert vals.shape == (family.count,)
-        for orb, v in zip(family.orbitals, vals):
+        assert vals.shape == (len(family),)
+        for orb, v in zip(family, vals):
             assert v == _loop_radial(orb, np.asarray(1.5))
             assert radial_wavefunction(orb, 1.5) == v
 
@@ -203,3 +201,10 @@ class TestFamilyPass:
             build_sample_matrix(make_family(3), pts)
         with pytest.raises(ValueError, match=f"^{message}$"):
             radial_wavefunction(OrbitalSpec(2, 1), pts)
+
+    def test_empty_family_rejected(self):
+        message = "^family must contain at least one orbital$"
+        with pytest.raises(ValueError, match=message):
+            family_values((), np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match=message):
+            build_sample_matrix((), make_grid("uniform", 3, 0.0, 1.0))

@@ -102,6 +102,17 @@ class TestAssemble:
         expected = -delta * funcs.eval(prob.interior_points)
         assert np.allclose(A2[:-2] - A1[:-2], expected, rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("energy", [1.7e308, -1.7e308], ids=["E+", "E-"])
+    def test_overflowing_rows_are_returned_without_a_warning(
+        self, reproduction_funcs8, reproduction_bvp, energy
+    ):
+        # (V - E) phi overflows; RuntimeWarnings are errors in this suite
+        bvp = replace(reproduction_bvp, E=energy)
+        matrix, rhs = assemble(spectral.CollocationProblem(bvp, reproduction_funcs8))
+        assert not np.isfinite(matrix[:-2]).all()
+        assert np.isfinite(matrix[-2:]).all()
+        assert rhs[-2:].tolist() == [bvp.y_a, bvp.y_f]
+
     def test_stacked_operator_rows_match_assemble(self, reproduction_funcs8, reproduction_bvp):
         problem = make_collocation_problem(reproduction_bvp, reproduction_funcs8)
         energies = np.linspace(-0.7, -0.3, 41)
@@ -319,7 +330,7 @@ class TestResidualNormAndMonotonicity:
         dense = spectral._scan_grid(reproduction_bvp)
         norms = {}
         for m in (4, 6, 8, 10):
-            tb = klcore.truncate_basis(reproduction_pipeline["basis"], klcore.FixedM(m))
+            tb = klcore.truncate_basis(reproduction_pipeline["basis"], m)
             funcs = basisfn.interpolate(tb)
             sol = solve(make_collocation_problem(reproduction_bvp, funcs))
             norms[m] = relative_residual_norm(sol, dense)
