@@ -25,7 +25,7 @@ import math
 import random
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -279,6 +279,15 @@ def problem_from_config(config: dict) -> BoundaryValueProblem:
     )
 
 
+def _unit_problem(config: dict) -> tuple[BoundaryValueProblem, int]:
+    """The config's problem with y_a and y_f divided by the power of two 2**e
+    that brings the larger into [0.5, 1), and e. The problem is linear, so
+    its solution times 2**e (`np.ldexp`, exact) is the config's."""
+    bvp = problem_from_config(config)
+    _, exp = math.frexp(max(abs(bvp.y_a), abs(bvp.y_f)))
+    return replace(bvp, y_a=math.ldexp(bvp.y_a, -exp), y_f=math.ldexp(bvp.y_f, -exp)), exp
+
+
 # Grid points of the Numerov reference
 _ORACLE_POINTS = 20_000
 
@@ -303,41 +312,35 @@ def _reference(
     return numerov_oracle(bvp, _ORACLE_POINTS).at, "numerov"
 
 
-def _mid_window(bvp: BoundaryValueProblem) -> np.ndarray:
+def _mid_window(
+    config: dict, bvp: BoundaryValueProblem
+) -> tuple[np.ndarray, np.ndarray, Callable[[np.ndarray], np.ndarray], str]:
     """The 201 points where errors are reported, on a window bounded by
-    fixed fractions of the domain: [0.5, 5] for the reproduction on [0, 7]."""
+    fixed fractions of the domain ([0.5, 5] for the reproduction on [0, 7]),
+    the reference there, and the `_reference` function and kind."""
     span = bvp.b - bvp.a
-    return np.linspace(bvp.a + (1.0 / 14.0) * span, bvp.a + (5.0 / 7.0) * span, 201)
+    xm = np.linspace(bvp.a + (1.0 / 14.0) * span, bvp.a + (5.0 / 7.0) * span, 201)
+    reference, kind = _reference(config, bvp)
+    return xm, reference(xm), reference, kind
 
 
-def _rel_l2(y: np.ndarray, ref: np.ndarray) -> float | None:
-    """Relative L2 error. Both vectors are first divided by the power of
-    two that scales ref into [0.5, 1), which is exact, so the squares in
-    the norms do not overflow; not finite only where the values or the
-    ratio are not, which the callers classify."""
+def _mid_errors(y: np.ndarray, ref: np.ndarray) -> tuple[float | None, float | None]:
+    """Relative L2 errors of y against ref, after a least-squares fit of the
+    solution's free global coefficient (the boundary value only sets the
+    scale) and raw. ref is divided by the power of two that brings it into
+    [0.5, 1), y by the same for the raw error and by its own for the fit, so
+    no square overflows. None where ref, or y for the fit, is zero."""
     with np.errstate(over="ignore", invalid="ignore"):
         ref, exp = spectral._pow2_scaled(ref)
-        y = np.ldexp(y, -exp)
         denom = float(np.linalg.norm(ref))
         if denom == 0.0:
-            return None
-        return float(np.linalg.norm(y - ref) / denom)
-
-
-def _rel_l2_scaled(y: np.ndarray, ref: np.ndarray) -> float | None:
-    """Relative L2 after fixing the solution's free global coefficient by
-    a least-squares fit; the boundary value only sets the scale. Each
-    vector is power-of-two scaled first, as in `_rel_l2`; the fitted
-    coefficient absorbs the two scales."""
-    with np.errstate(over="ignore", invalid="ignore"):
+            return None, None
+        raw = float(np.linalg.norm(np.ldexp(y, -exp) - ref) / denom)
         y, _ = spectral._pow2_scaled(y)
-        ref, _ = spectral._pow2_scaled(ref)
-        denom = float(np.linalg.norm(ref))
         yy = float(y @ y)
-        if denom == 0.0 or yy == 0.0:
-            return None
-        alpha = float(y @ ref) / yy
-        return float(np.linalg.norm(alpha * y - ref) / denom)
+        if yy == 0.0:
+            return None, raw
+        return float(np.linalg.norm(float(y @ ref) / yy * y - ref) / denom), raw
 
 
 # -- subcommands --------------------------------------------------------------
@@ -371,7 +374,7 @@ def cmd_gen_basis(config: dict) -> Artifacts:
 def cmd_solve(config: dict) -> Artifacts:
     """solve the boundary-value problem in the truncated basis"""
     pipe = run_pipeline(config)
-    bvp = problem_from_config(config)
+    bvp, exp = _unit_problem(config)
     problem = spectral.CollocationProblem(bvp, pipe.interpolant)
     sol = spectral.solve(problem)
 
@@ -379,26 +382,26 @@ def cmd_solve(config: dict) -> Artifacts:
     # one tabulation of the export grid gives both the solution and its defect
     with np.errstate(over="ignore", invalid="ignore"):
         res, y = spectral._Tabulation.at(bvp, problem.basis, xs).defect(sol.coefficients, bvp.E)
-    reference, ref_kind = _reference(config, bvp)
-    ref = reference(xs)
+    xm, refm, reference, ref_kind = _mid_window(config, bvp)
+    with np.errstate(over="ignore"):  # back at the config's scale
+        table = np.column_stack((xs, np.ldexp(np.column_stack((y, reference(xs), res)), exp)))
+        coefficients = np.ldexp(sol.coefficients, exp)
 
-    xm = _mid_window(bvp)
-    ym = sol.eval(xm)
-    refm = reference(xm)
+    fitted, raw = _mid_errors(sol.eval(xm), refm)
     figures = {
-        "rel_l2_error_mid": _rel_l2_scaled(ym, refm),
-        "rel_l2_error_mid_raw": _rel_l2(ym, refm),
+        "rel_l2_error_mid": fitted,
+        "rel_l2_error_mid_raw": raw,
         "residual_norm": spectral.relative_residual_norm(sol, spectral._scan_grid(bvp)),
     }
     for name, value in figures.items():
         if value is not None and not math.isfinite(value):
             raise NumericalError(f"{name} is not finite")
-    if not (np.isfinite(y).all() and np.isfinite(res).all()):
+    if not (np.isfinite(table).all() and np.isfinite(coefficients).all()):
         raise NumericalError("the exported solution or its residual is not finite")
     report = {
         "config": config,
         "M": problem.n_modes,
-        "coefficients": sol.coefficients.tolist(),
+        "coefficients": coefficients.tolist(),
         "condition_estimate": sol.condition_estimate,
         "method": sol.method,
         **figures,
@@ -406,10 +409,8 @@ def cmd_solve(config: dict) -> Artifacts:
         "reference": ref_kind,
     }
     return {
-        "solution.csv": csvio.csv_text(
-            ["x", "y_numeric", "y_reference", "residual"], np.column_stack((xs, y, ref, res))
-        ),
-        "residual.csv": csvio.csv_text(["x", "residual"], np.column_stack((xs, res))),
+        "solution.csv": csvio.csv_text(["x", "y_numeric", "y_reference", "residual"], table),
+        "residual.csv": csvio.csv_text(["x", "residual"], table[:, ::3]),
         "report.json": report,
     }
 
@@ -419,7 +420,7 @@ def cmd_scan_energy(config: dict) -> Artifacts:
     prob = config["problem"]
     e_range = prob["E_range"]
     pipe = run_pipeline(config)
-    bvp = problem_from_config(config)
+    bvp, _ = _unit_problem(config)
     scan = spectral.energy_scan(
         bvp, pipe.interpolant, float(e_range[0]), float(e_range[1]), int(prob["n_steps"])
     )
@@ -460,10 +461,8 @@ def cmd_compare_bases(config: dict) -> Artifacts:
     pipe = run_pipeline(config)
     m = pipe.truncated.M
     points = pipe.basis.points
-    bvp = problem_from_config(config)
-    xm = _mid_window(bvp)
-    reference, _ = _reference(config, bvp)
-    refm = reference(xm)
+    bvp, _ = _unit_problem(config)
+    xm, refm, _, _ = _mid_window(config, bvp)
 
     drawn = _random_orthonormal(points.size, m, int(config["seed"]))
     monomial = _monomial_basis(points, m)
@@ -479,7 +478,7 @@ def cmd_compare_bases(config: dict) -> Artifacts:
             sol = spectral.solve(spectral.CollocationProblem(bvp, interpolant))
             # a solution too large to evaluate has an error that is not finite
             with np.errstate(over="ignore", invalid="ignore"):
-                rel = _rel_l2_scaled(sol.eval(xm), refm)
+                rel, _ = _mid_errors(sol.eval(xm), refm)
         except NumericalError:
             rel = None
         finite = rel is not None and math.isfinite(rel)

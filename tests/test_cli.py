@@ -41,6 +41,10 @@ def read_json(path: Path) -> dict:
         return json.load(fh)
 
 
+# An energy near the largest double: the interior rows (V - E) phi overflow
+_OVERFLOWING_ROWS = {"E": -1.7e308, "E_range": [-1.75e308, -1.65e308]}
+
+
 class TestConfig:
     def test_defaults_round_trip(self):
         config = cli.validate_config(cli.DEFAULT_CONFIG)
@@ -94,6 +98,35 @@ class TestConfig:
         cfg = write_config(tmp_path, overrides)
         out = tmp_path / "out"
         assert run(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([], "config document must be a JSON object"),
+            ({"sampling": {"b": 0.0}}, "sampling requires a < b"),
+            (
+                {"truncation": {"criterion": "energy_fraction", "value": 1.5}},
+                "truncation.value must be in (0, 1], got 1.5",
+            ),
+            ({"problem": {"a": 7.0}}, "problem requires a < b"),
+        ],
+        ids=["top-level-list", "sampling-domain", "energy-fraction", "problem-domain"],
+    )
+    def test_rejected_with_its_message(self, tmp_path, capsys, doc, message):
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert run(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        missing = tmp_path / "missing.json"
+        assert run(["solve", "--config", str(missing), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read config file: [Errno 2] ")
+        assert str(missing) in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["gen-basis", "solve", "scan-energy", "compare-bases"])
@@ -287,9 +320,9 @@ class TestConfig:
         assert not out.exists()
 
     def test_boundary_value_that_overflows_the_norms(self, tmp_path):
-        # the squares in the norms pass 1e308 from |y_f| of about 1e152; the
-        # norms scale each vector by a power of two first, so a run at
-        # 2**700 times the default y_f reports the default's figures to the bit
+        # the squares in the norms would pass 1e308 from |y_f| of about
+        # 1e152; the CLI solves at unit scale, so a run at 2**700 times the
+        # default y_f reports the default's figures to the bit
         def figures(y_f, name):
             cfg = write_config(tmp_path, {"problem": {"y_f": y_f}}, f"{name}.json")
             out = tmp_path / name
@@ -330,7 +363,7 @@ class TestConfig:
         # 1e305 is within a factor 1e3 of overflow; the boundary values are
         # imposed exactly and only the solution scales with y_f, so the run
         # reports the default's figures
-        figures = {}
+        figures, cells = {}, {}
         for name, y_f in (("default", 1e-4), ("huge", 1e305)):
             cfg = write_config(tmp_path, {"problem": {"y_f": y_f}}, f"{name}.json")
             out = tmp_path / name
@@ -345,24 +378,30 @@ class TestConfig:
             if command == "compare-bases":
                 _, rows = read_csv(out / "comparison.csv")
                 figures[name] = float(rows[0][3])  # the kl basis
+                cells[name] = [float(c) for r in rows for c in r[2:]]
+                assert all(math.isfinite(c) for c in cells[name])
             else:
                 key = "rel_l2_error_mid" if command == "solve" else "argmin_energy"
                 figures[name] = read_json(out / "report.json")[key]
         assert figures["huge"] == pytest.approx(figures["default"], rel=1e-11, abs=0)
+        if command == "compare-bases":
+            # the CLI solves at unit scale, so every basis solves as at the default
+            assert cells["huge"] == pytest.approx(cells["default"], rel=1e-9, abs=0)
 
-    @pytest.mark.parametrize("command", ["solve", "scan-energy"])
     @pytest.mark.parametrize(
-        "problem, message",
+        "command, problem, message",
         [
-            # the interior rows times c_p overflow
-            (
-                {"E": -1e300, "E_range": [-1e300, -1e299], "y_f": 1e10},
-                "the collocation system is not finite",
-            ),
-            # c_p and A c_p are finite, the coefficients are not
-            ({"y_f": 1e308}, "boundary conditions not met (boundary rank 1 of 2, "),
+            # the CLI solves at unit scale, where c_p is of order one, so the
+            # interior rows times c_p overflow only with the rows themselves
+            ("solve", _OVERFLOWING_ROWS, "the collocation system is not finite"),
+            ("scan-energy", _OVERFLOWING_ROWS, "no scan point solved successfully"),
+            # the unit-scale solve passes, and its coefficients and values
+            # overflow only when taken back to y_f's scale: the solve exports
+            # them, a scan only its relative norms, which are the default's
+            ("solve", {"y_f": 1e308}, "the exported solution or its residual is not finite"),
+            ("scan-energy", {"y_f": 1e308}, None),
         ],
-        ids=["A-c_p", "coefficients"],
+        ids=["A-c_p-solve", "A-c_p-scan-energy", "coefficients-solve", "coefficients-scan-energy"],
     )
     def test_boundary_value_whose_solution_overflows(
         self, tmp_path, capsys, command, problem, message
@@ -371,13 +410,21 @@ class TestConfig:
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert run([command, "--config", str(cfg), "--out-dir", str(out)]) == 2
+            code = run([command, "--config", str(cfg), "--out-dir", str(out)])
         err = capsys.readouterr().err
-        if command == "solve":
-            assert err.startswith(f"numerical error: {message}")
-        else:
-            assert err == "numerical error: no scan point solved successfully\n"
-        assert not out.exists()
+        if message is not None:
+            assert code == 2
+            assert err == f"numerical error: {message}\n"
+            assert not out.exists()
+            return
+        assert (code, err) == (0, "")
+        default = cli.cmd_scan_energy(cli.validate_config({}))
+        expected = default["report.json"]["argmin_energy"]
+        assert read_json(out / "report.json")["argmin_energy"] == pytest.approx(expected, rel=1e-12)
+        _, rows = read_csv(out / "scan.csv")
+        assert [r[2] for r in rows] == ["ok"] * 41
+        norms = [float(line.split(",")[1]) for line in default["scan.csv"].splitlines()[1:]]
+        assert [float(r[1]) for r in rows] == pytest.approx(norms, rel=1e-9)
 
     @pytest.mark.parametrize("command", ["solve", "scan-energy", "compare-bases"])
     def test_domain_too_narrow_for_the_collocation_points(self, tmp_path, capsys, command):
@@ -644,13 +691,9 @@ class TestSolve:
         ids=["default", *_SCALE_CASES, "one-mode"],
     )
     def test_classification_free_of_the_data_scale(self, overrides, outcome):
-        # the boundary check scales with the data and with the rounding of
-        # B c, so scaled copies of a problem classify alike; y_a is given
-        # as a multiple of y_f. The solvable cases also run on subnormal
-        # data (2**-1040), where the collocation solve and the Numerov
-        # reference share one rule. `one-mode` stays at normal scales: a
-        # subnormal target is held to the smallest normal double, which
-        # even one mode meets
+        # the CLI solves at unit scale, so scaled copies of a problem
+        # classify alike, on subnormal data (2**-1040) too; y_a is given as
+        # a multiple of y_f
         def classify(y_f: float) -> str:
             doc = copy.deepcopy(overrides)
             problem = doc.setdefault("problem", {})
@@ -662,20 +705,52 @@ class TestSolve:
                 return str(err).split()[0]
             return "ok"
 
-        scales = (-200, 0, 200, -1040) if outcome == "ok" else (-200, 0, 200)
+        scales = (-200, 0, 200, -1040)
         outcomes = {classify(math.ldexp(y_f, k)) for y_f in (1e-4, 3e-4, 1.0) for k in scales}
         assert outcomes == {outcome}
 
+    def test_figures_free_of_the_data_scale(self):
+        # the CLI solves at unit scale: a power-of-two multiple of the
+        # boundary values reports the same figures, to the bit while they
+        # are normal doubles. At 1e-4 * 2**-1040 they are subnormal, with
+        # about 21 bits of precision
+        def figures(y):
+            problem = {"a": 0.5, "b": 20.0, "y_a": y, "y_f": y}
+            doc = {"sampling": {"N_s": 38}, "truncation": {"value": 30}, "problem": problem}
+            report = cli.cmd_solve(cli.validate_config(doc))["report.json"]
+            return [report[k] for k in ("rel_l2_error_mid", "rel_l2_error_mid_raw", "residual_norm")]
+
+        normal = figures(1e-4)
+        assert normal[0] == 0.0011951561312580083
+        assert figures(math.ldexp(1e-4, -1000)) == normal
+        assert figures(math.ldexp(1e-4, -1040)) == pytest.approx(normal, rel=1e-6, abs=0)
+
     def test_exported_residual_that_overflows(self, tmp_path, capsys):
-        # 12 modes with coefficients near 1e307: the solve and its figures
-        # are finite, but the defect on the export grid overflows; exit 2
-        # with no warning, not a nan cell at exit 0
-        problem = {"E": -0.65, "a": 0.5, "b": 20.0, "y_a": 1e-4, "y_f": 4e299}
-        overrides = {"sampling": {"N_s": 16, "b": 80.0}, "truncation": {"value": 12}}
-        cfg = write_config(tmp_path, {**overrides, "problem": problem})
-        out = tmp_path / "out"
-        assert run(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 2
-        err = capsys.readouterr().err
+        # 12 modes with coefficients of about 3e7 times y_f. The CLI solves
+        # at unit scale, so at y_f 4e299 the solve, its defect and its
+        # figures are finite, and so is the export at y_f's scale. At 1e308
+        # that export overflows: exit 2 with no warning, not an inf cell
+        def solve(y_f):
+            problem = {"E": -0.65, "a": 0.5, "b": 20.0, "y_a": 1e-4, "y_f": y_f}
+            overrides = {"sampling": {"N_s": 16, "b": 80.0}, "truncation": {"value": 12}}
+            cfg = write_config(tmp_path, {**overrides, "problem": problem}, f"{y_f}.json")
+            out = tmp_path / str(y_f)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = run(["solve", "--config", str(cfg), "--out-dir", str(out)])
+            return code, capsys.readouterr().err, out
+
+        code, err, out = solve(4e299)
+        assert (code, err) == (0, "")
+        for name in ("solution.csv", "residual.csv"):
+            _, rows = read_csv(out / name)
+            assert all(math.isfinite(float(c)) for r in rows for c in r), name
+        coefficients = read_json(out / "report.json")["coefficients"]
+        assert all(math.isfinite(c) for c in coefficients)
+        assert max(abs(c) for c in coefficients) > 1e306
+
+        code, err, out = solve(1e308)
+        assert code == 2
         assert err == "numerical error: the exported solution or its residual is not finite\n"
         assert not out.exists()
 
@@ -858,16 +933,15 @@ class TestReference:
             problem = {**problem, "y_f": float(exact(problem["b"]))}
         config = cli.validate_config({"sampling": {"b": 80.0}, "problem": problem})
         bvp = cli.problem_from_config(config)
+        xm, refm, _, kind = cli._mid_window(config, bvp)
         if exact is not None:
-            reference = numerov_oracle(bvp, cli._ORACLE_POINTS).at
+            refm = numerov_oracle(bvp, cli._ORACLE_POINTS).at(xm)
         else:
-            reference, kind = cli._reference(config, bvp)
             assert kind == "numerov"
-        xm = cli._mid_window(bvp)
         truth = exact(xm) if exact is not None else numerov_oracle(bvp, 400_000).at(xm)
         fine = numerov_oracle(bvp, 100_000)
         linear = np.interp(xm, fine.x, fine.y)
-        assert cli._rel_l2_scaled(reference(xm), truth) <= cli._rel_l2_scaled(linear, truth)
+        assert cli._mid_errors(refm, truth)[0] <= cli._mid_errors(linear, truth)[0]
 
 
 class TestScanEnergy:

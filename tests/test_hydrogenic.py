@@ -211,6 +211,10 @@ class TestReducedEigenstate:
         with pytest.raises(NumericalError, match="node of the 2s state"):
             reduced_eigenstate(OrbitalSpec(2, 0), 2.0, 1e-4, np.linspace(0.0, 2.0, 5))
 
+    def test_domain_without_width_rejected(self):
+        with pytest.raises(ValueError, match="^b must be positive, got 0.0$"):
+            reduced_eigenstate(OrbitalSpec(1, 0), 0.0, 1e-4, 0.0)
+
     def test_overflow_raises(self):
         # y_f (x/b) exp(b - x) passes 1e308 near the origin on [0, 1000]
         with pytest.raises(NumericalError, match="1s reference overflows"):
@@ -385,6 +389,20 @@ class TestFamily:
             BoundaryValueProblem(l=0, Z=1.0, E=-0.5, a=1.0, b=1.0, y_a=0.0, y_f=0.0)
         with pytest.raises(ValueError):
             BoundaryValueProblem(l=0, Z=1.0, E=-0.5, a=0.0, b=7.0, y_a=0.0, y_f=0.0, epsilon=0.0)
+
+    def test_empty_family_rejected(self):
+        with pytest.raises(ValueError, match="^n_max must be >= 1, got 0$"):
+            make_family(0)
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [({"l": -1}, "l must be non-negative, got -1"), ({"Z": 0.0}, "Z must be positive, got 0.0")],
+        ids=["l", "Z"],
+    )
+    def test_bvp_quantum_numbers_checked(self, field, message):
+        values = {"l": 0, "Z": 1.0, "E": -0.5, "a": 0.0, "b": 7.0, "y_a": 0.0, "y_f": 1e-4}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            BoundaryValueProblem(**{**values, **field})
 
 
 class TestCubicReadOut:

@@ -223,6 +223,21 @@ class TestTruncation:
         assert m <= 10
 
 
+class TestKLBasisChecks:
+    @pytest.mark.parametrize(
+        "eigenvalues, vectors, message",
+        [
+            ([1.0, 2.0], np.eye(2), "eigenvalues must be sorted in descending order"),
+            ([1.0, -0.5], np.eye(2), "covariance eigenvalues must be non-negative up to rounding"),
+            ([2.0, 1.0], [[1.0, 1.0], [0.0, 1.0]], r"eigenvector columns not orthonormal"),
+        ],
+        ids=["ascending", "negative", "not-orthonormal"],
+    )
+    def test_rejected(self, eigenvalues, vectors, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            KLBasis(np.array(eigenvalues), np.array(vectors), unit_grid(2))
+
+
 class TestTransformAndMse:
     def test_single_eigenvector_column(self, reproduction_pipeline):
         basis = reproduction_pipeline["basis"]
@@ -258,6 +273,11 @@ class TestTransformAndMse:
         Yc = center_columns(np.array([[1.0, 3.0], [2.0, 2.0]]))
         basis = eig(covariance(Yc))
         assert reconstruction_mse(Yc, basis, 1) <= 1e-14
+
+    def test_mode_count_checked(self):
+        Yc = center_columns(np.array([[1.0, 3.0], [2.0, 2.0]]))
+        with pytest.raises(ValueError, match=r"^M must be in \[1, 2\], got 0$"):
+            reconstruction_mse(Yc, eig(covariance(Yc)), 0)
 
     def test_kl_beats_random_bases(self, reproduction_pipeline):
         Yc = reproduction_pipeline["centered"]

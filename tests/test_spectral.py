@@ -122,6 +122,13 @@ class TestAssemble:
             at_e = make_collocation_problem(replace(reproduction_bvp, E=e), reproduction_funcs8)
             assert np.array_equal(rows, assemble(at_e)[0][:-2])
 
+    def test_single_function_basis_rejected(self):
+        # a 1-d BasisFunction is one function, not an (N_s x M) basis
+        nodes = make_grid("chebyshev-lobatto", 12, 0.0, 7.0)
+        funcs = basisfn.BasisFunction(nodes, nodes * np.exp(-nodes))
+        with pytest.raises(ValueError, match="^need an \\(N_s x M\\) basis with at least one mode$"):
+            make_collocation_problem(GROUND_BVP, funcs)
+
     def test_domain_not_covered_rejected(self):
         nodes = make_grid("chebyshev-lobatto", 10, 0.0, 5.0)
         funcs = basisfn.BasisFunction(nodes, np.sin(nodes)[:, None])
@@ -217,6 +224,14 @@ class TestSolve:
         with pytest.raises(NumericalError, match=f"^{spectral._NOT_FINITE}$"):
             solve(problem)
         assert calls == []
+
+    def test_coefficients_that_overflow_miss_the_boundary_values(self):
+        # at y_f 1e308, c_p and A c_p are finite and the coefficients are
+        # not; the library solves at the data's scale (the CLI at unit scale)
+        bvp, basis = pipeline_case({"problem": {"y_f": 1e308}})
+        message = r"^boundary conditions not met \(boundary rank 1 of 2, "
+        with pytest.raises(NumericalError, match=message):
+            solve(make_collocation_problem(bvp, basis))
 
     def test_nan_coefficients_miss_the_boundary_values(
         self, monkeypatch, reproduction_funcs8, reproduction_bvp
