@@ -292,35 +292,31 @@ def _unit_problem(config: dict) -> tuple[BoundaryValueProblem, int]:
 _ORACLE_POINTS = 20_000
 
 
-def _reference(
-    config: dict, bvp: BoundaryValueProblem
-) -> tuple[Callable[[np.ndarray], np.ndarray], str]:
-    """Reference solution as a function of x, and its kind. From the origin
-    with y(0) = 0 at E == -Z^2/(2n^2) exactly, n being `problem.n`, it is
-    the closed-form eigenstate (`reduced_eigenstate`, which raises
-    NumericalError when b is one of its nodes). Otherwise it is the Numerov
-    oracle, integrated once here on 2e4 points and read cubically at each
-    call. The cubic read-out's O(h^4) error matches the scheme's own, so
-    this grid gives a reference good to about 1e-12 after the scale fit;
-    1e5 points read linearly cost five times the sweep for about 1e-9."""
-    if bvp.y_f == 0.0 and bvp.y_a == 0.0:
-        return np.zeros_like, "trivial"
-    n = int(config["problem"]["n"])
-    if bvp.a == 0.0 and bvp.y_a == 0.0 and bvp.E == -(bvp.Z * bvp.Z) / (2 * n * n):
-        orbital = OrbitalSpec(n, bvp.l, bvp.Z)
-        return functools.partial(reduced_eigenstate, orbital, bvp.b, bvp.y_f), "closed-form"
-    return numerov_oracle(bvp, _ORACLE_POINTS).at, "numerov"
-
-
 def _mid_window(
     config: dict, bvp: BoundaryValueProblem
 ) -> tuple[np.ndarray, np.ndarray, Callable[[np.ndarray], np.ndarray], str]:
     """The 201 points where errors are reported, on a window bounded by
     fixed fractions of the domain ([0.5, 5] for the reproduction on [0, 7]),
-    the reference there, and the `_reference` function and kind."""
+    the reference there, and the reference as a function of x with its kind.
+    It is zero ("trivial") when y_a = y_f = 0. From the origin with y(0) = 0
+    at E == -Z^2/(2n^2) exactly, n being `problem.n`, it is the closed-form
+    eigenstate (`reduced_eigenstate`, which raises NumericalError when b is
+    one of its nodes). Otherwise it is the Numerov oracle, integrated once
+    here on 2e4 points and read cubically at each call. The cubic read-out's
+    O(h^4) error matches the scheme's own, so this grid gives a reference
+    good to about 1e-12 after the scale fit; 1e5 points read linearly cost
+    five times the sweep for about 1e-9."""
     span = bvp.b - bvp.a
     xm = np.linspace(bvp.a + (1.0 / 14.0) * span, bvp.a + (5.0 / 7.0) * span, 201)
-    reference, kind = _reference(config, bvp)
+    n = int(config["problem"]["n"])
+    if bvp.y_f == 0.0 and bvp.y_a == 0.0:
+        reference, kind = np.zeros_like, "trivial"
+    elif bvp.a == 0.0 and bvp.y_a == 0.0 and bvp.E == -(bvp.Z * bvp.Z) / (2 * n * n):
+        orbital = OrbitalSpec(n, bvp.l, bvp.Z)
+        reference = functools.partial(reduced_eigenstate, orbital, bvp.b, bvp.y_f)
+        kind = "closed-form"
+    else:
+        reference, kind = numerov_oracle(bvp, _ORACLE_POINTS).at, "numerov"
     return xm, reference(xm), reference, kind
 
 
@@ -393,10 +389,8 @@ def cmd_solve(config: dict) -> Artifacts:
         "rel_l2_error_mid_raw": raw,
         "residual_norm": spectral.relative_residual_norm(sol, spectral._scan_grid(bvp)),
     }
-    for name, value in figures.items():
-        if value is not None and not math.isfinite(value):
-            raise NumericalError(f"{name} is not finite")
-    if not (np.isfinite(table).all() and np.isfinite(coefficients).all()):
+    finite_figures = all(v is None or math.isfinite(v) for v in figures.values())
+    if not (finite_figures and np.isfinite(table).all() and np.isfinite(coefficients).all()):
         raise NumericalError("the exported solution or its residual is not finite")
     report = {
         "config": config,

@@ -144,8 +144,9 @@ def laguerre(k, alpha, x):
 
     with L_0 = 1 and L_1 = 1 + alpha - x. Accepts scalar or array x; k and
     alpha may also hold one entry per column (last axis) of x. The columns
-    are sorted by descending degree once, so step i updates only the
-    leading block of columns whose degree exceeds i.
+    are sorted by descending degree once, so step i updates in place only
+    the leading block of columns, those of degree above i; a column past
+    its degree keeps its L_k.
     """
     degrees = np.asarray(k)
     if np.any(degrees < 0):
@@ -153,31 +154,22 @@ def laguerre(k, alpha, x):
     xa = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xa)):
         raise ValueError("x must be finite")
-    shape = xa.shape or (1,)
-    xs = xa.reshape(math.prod(shape[:-1]), shape[-1]).T  # one row per column of x
-    degrees = np.broadcast_to(degrees, xs.shape[:1])
+    xs = np.atleast_1d(xa)
+    degrees = np.broadcast_to(degrees, xs.shape[-1:])
     order = np.argsort(-degrees, kind="stable")
-    xs, degrees = np.ascontiguousarray(xs[order]), degrees[order]
-    al = np.broadcast_to(alpha, degrees.shape)[order][:, None]
-    # active[i]: the number of leading rows with degree > i
-    active = np.searchsorted(-degrees, -np.arange(degrees.max(initial=0)))
+    xs, degrees = xs[..., order], degrees[order]
+    al = np.broadcast_to(alpha, degrees.shape)[order]
     prev, cur = np.zeros_like(xs), np.ones_like(xs)
-    tmp, finished = np.empty_like(xs), np.empty_like(xs)
-    n_active = len(degrees)
-    for i, c in enumerate(active):
-        # rows of degree i hold L_i in cur and take no further steps
-        finished[c:n_active] = cur[c:n_active]
-        n_active = c
-        step = np.subtract(2 * i + 1 + al[:c], xs[:c], out=tmp[:c])
-        step *= cur[:c]
-        step -= np.multiply(i + al[:c], prev[:c], out=prev[:c])
-        np.divide(step, i + 1, out=prev[:c])
-        prev, cur = cur, prev
-    finished[:n_active] = cur[:n_active]
-    out = np.empty_like(finished)
-    out[order] = finished
-    out = np.ascontiguousarray(out.T).reshape(xa.shape)
-    return out if out.ndim else float(out)
+    for i in range(degrees.max(initial=0)):
+        c = np.count_nonzero(degrees > i)
+        prev_c, cur_c = prev[..., :c], cur[..., :c]
+        step = (2 * i + 1 + al[:c] - xs[..., :c]) * cur_c
+        step -= np.multiply(i + al[:c], prev_c, out=prev_c)
+        prev_c[...] = cur_c
+        np.divide(step, i + 1, out=cur_c)
+    out = np.empty(xs.shape)
+    out[..., order] = cur
+    return out if xa.ndim else float(out[0])
 
 
 def family_values(family: tuple[OrbitalSpec, ...], r) -> np.ndarray:
@@ -284,7 +276,6 @@ class NumerovSolution:
 
     x: np.ndarray
     y: np.ndarray
-    slope: float
     iterations: int
 
     def at(self, x):
@@ -453,9 +444,8 @@ def numerov_oracle(bvp: BoundaryValueProblem, n_points: int) -> NumerovSolution:
     and v starts from the regular series (for l = 0, s is the literal slope),
     so one sweep suffices; otherwise two are run. Each sweep is one blocked
     numpy scan (see _numerov_sweep). The residual that rounding in u + s v
-    leaves at b is removed along v once more, and the result must then meet
-    y(b) by `BoundaryValueProblem.meets`, with the rounding bound of the
-    two-term sum u(b) + s v(b).
+    leaves at b is removed along v once more, which meets y(b) to rounding
+    unless a value overflows; each failure raises NumericalError naming it.
     """
     if n_points < 1000:
         raise ValueError(f"n_points must be >= 1000, got {n_points}")
@@ -468,9 +458,11 @@ def numerov_oracle(bvp: BoundaryValueProblem, n_points: int) -> NumerovSolution:
         coef = 1.0 - (h * h / 12.0) * g
 
     if bvp.y_f == 0.0 and bvp.y_a == 0.0:
-        return NumerovSolution(x=x, y=np.zeros(n_points), slope=0.0, iterations=0)
+        return NumerovSolution(x=x, y=np.zeros(n_points), iterations=0)
     if not (np.isfinite(g).all() and np.isfinite(incr).all() and np.isfinite(coef).all()):
         raise NumericalError(f"the Numerov coefficients overflow a double at E = {bvp.E}")
+    if not abs(bvp.y_a) <= _OVERFLOW_LIMIT:
+        raise NumericalError(f"y_a = {bvp.y_a} is past the sweep's limit {_OVERFLOW_LIMIT:g}")
 
     if bvp.a == 0.0 and bvp.y_a == 0.0:
         seed1 = float(_regular_series(bvp, x[1]))
@@ -484,14 +476,14 @@ def numerov_oracle(bvp: BoundaryValueProblem, n_points: int) -> NumerovSolution:
         sweeps = 2
 
     v_b = float(v[-1])
-    slope = (bvp.y_f - float(u[-1])) / v_b if v_b != 0.0 else math.inf
-    if not math.isfinite(slope):
+    if v_b == 0.0:
         raise NumericalError("unit-slope sweep vanishes at b; no slope matches y(b)")
-    y = u + slope * v
-    correction = (bvp.y_f - float(y[-1])) / v_b
-    slope += correction
-    y = y + correction * v
-    rounding = 2.0 * float(_FINFO.eps) * (abs(float(u[-1])) + abs(slope * v_b))
-    if not bvp.meets([y[0], y[-1]], rounding):
-        raise NumericalError("superposed sweeps do not match y(b)")
-    return NumerovSolution(x=x, y=y, slope=slope, iterations=sweeps)
+    slope = (bvp.y_f - float(u[-1])) / v_b
+    if not math.isfinite(slope):
+        raise NumericalError(f"the slope (y_f - u(b)) / v(b) overflows a double, v(b) = {v_b:.3g}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = u + slope * v
+        y += (bvp.y_f - float(y[-1])) / v_b * v
+    if not np.isfinite(y).all():
+        raise NumericalError("the superposed solution y = u + s v overflows a double")
+    return NumerovSolution(x=x, y=y, iterations=sweeps)

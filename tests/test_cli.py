@@ -827,6 +827,23 @@ class TestSolve:
         exact = 0.0030768368666138014
         assert abs(report["rel_l2_error_mid"] - exact) <= 1e-14 * exact
 
+    @pytest.mark.parametrize("a", [0.0, 1.0])
+    def test_zero_boundary_values_use_the_trivial_reference(self, tmp_path, monkeypatch, a):
+        def no_oracle(bvp, n_points):
+            raise AssertionError("the Numerov oracle ran")
+
+        monkeypatch.setattr(cli, "numerov_oracle", no_oracle)
+        cfg = write_config(tmp_path, {"problem": {"a": a, "y_a": 0.0, "y_f": 0.0}})
+        out = tmp_path / "out"
+        assert run(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        report = read_json(out / "report.json")
+        assert report["reference"] == "trivial"
+        assert report["rel_l2_error_mid"] is None
+        assert report["rel_l2_error_mid_raw"] is None
+        assert report["residual_norm"] == 0.0
+        _, rows = read_csv(out / "solution.csv")
+        assert all(float(r[2]) == 0.0 for r in rows)
+
     @pytest.mark.parametrize(
         "problem",
         [
@@ -840,7 +857,7 @@ class TestSolve:
     )
     def test_oracle_reference_off_the_eigenstate(self, problem):
         config = cli.validate_config({"problem": problem})
-        assert cli._reference(config, cli.problem_from_config(config))[1] == "numerov"
+        assert cli._mid_window(config, cli.problem_from_config(config))[3] == "numerov"
 
     @pytest.mark.parametrize("command", ["solve", "compare-bases"])
     def test_boundary_on_a_node_of_the_eigenstate(self, tmp_path, capsys, command):

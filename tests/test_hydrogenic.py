@@ -1,9 +1,11 @@
 import math
+import re
+import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, solve_bvp
 from scipy.special import eval_genlaguerre
@@ -221,6 +223,33 @@ class TestReducedEigenstate:
             reduced_ground_state(1000.0, 1e-4, np.linspace(0.0, 1000.0, 201))
 
 
+_ORACLE_1S = {"l": 0, "Z": 1.0, "E": -0.5, "a": 0.0, "b": 7.0, "y_a": 0.0, "y_f": 1e-4}
+
+_SUPERPOSED_OVERFLOW = "the superposed solution y = u + s v overflows a double"
+
+_BOUNDARY_VALUES = st.one_of(
+    st.just(0.0),
+    st.floats(-10.0, 10.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _shooting_problems(draw):
+    """Problems from the origin or from a general left end, with boundary
+    values of every scale, subnormal and near the largest double included."""
+    a = draw(st.sampled_from([0.0, 0.5, 2.0]))
+    return {
+        "l": draw(st.integers(0, 3)),
+        "Z": 1.0,
+        "E": draw(st.floats(-1.0, 0.5)),
+        "a": a,
+        "b": a + draw(st.floats(1.0, 30.0)),
+        "y_a": draw(_BOUNDARY_VALUES),
+        "y_f": draw(_BOUNDARY_VALUES),
+    }
+
+
 class TestNumerovOracle:
     def test_matches_closed_form(self, reproduction_bvp):
         sol = numerov_oracle(reproduction_bvp, 100_000)
@@ -311,9 +340,54 @@ class TestNumerovOracle:
         assert sol.y[0] == scale
         assert bvp.meets([sol.y[0], sol.y[-1]], 0.0)
 
+    @pytest.mark.parametrize(
+        "problem, message",
+        [
+            # v(b) = 6.38e-3, so s = 1e308 / v(b) is past the largest double
+            ({"y_f": 1e308}, "the slope (y_f - u(b)) / v(b) overflows a double, v(b) = 0.00638"),
+            # a general start puts y_a itself on the grid, before any step
+            ({"a": 0.5, "y_a": 1e308, "y_f": 1.0}, "y_a = 1e+308 is past the sweep's limit 1e+250"),
+            # s is finite, but s v(b) rounds past the largest double
+            ({"E": -0.45, "y_f": sys.float_info.max}, _SUPERPOSED_OVERFLOW),
+            # b sits near a node of v, and y = s v is finite at b but
+            # overflows on the hump before it
+            ({"l": 10, "E": 0.5, "b": 17.634, "y_f": 1e305}, _SUPERPOSED_OVERFLOW),
+            # x^(l+1) underflows at both seed points, so v is zero throughout
+            ({"l": 200}, "unit-slope sweep vanishes at b; no slope matches y(b)"),
+        ],
+        ids=["slope", "y_a", "superposed-at-b", "superposed-inside", "vanishing-v"],
+    )
+    def test_failure_names_its_cause(self, problem, message):
+        bvp = BoundaryValueProblem(**{**_ORACLE_1S, **problem})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
+                numerov_oracle(bvp, 20_000)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(problem=_shooting_problems())
+    def test_superposition_meets_the_boundary_values(self, problem):
+        # the correction along v leaves y(b) within rounding of y_f
+        # whenever no value overflows, so the oracle needs no check of it:
+        # this is the rule, and the rounding bound, that it once checked
+        bvp = BoundaryValueProblem(**problem)
+        with pytest.MonkeyPatch.context() as patch:
+            calls = _record_sweeps(patch)
+            try:
+                sol = numerov_oracle(bvp, 1000)
+            except NumericalError:
+                event("raised")
+                return
+        event("solved")
+        u_b = float(hydrogenic._numerov_sweep(*calls[0])[-1]) if len(calls) == 2 else 0.0
+        rounding = 2.0 * sys.float_info.epsilon * (abs(u_b) + abs(bvp.y_f - u_b))
+        assert sol.y[0] == bvp.y_a
+        assert np.isfinite(sol.y).all()
+        assert bvp.meets([sol.y[0], sol.y[-1]], rounding)
+
 
 class TestBoundaryRule:
-    """`BoundaryValueProblem.meets`, the one rule both solvers classify by."""
+    """`BoundaryValueProblem.meets`, the collocation solve's boundary rule."""
 
     @staticmethod
     def bvp(y_a, y_f):
@@ -410,7 +484,7 @@ class TestCubicReadOut:
 
     @staticmethod
     def _solution(x, y):
-        return hydrogenic.NumerovSolution(x=x, y=y, slope=0.0, iterations=1)
+        return hydrogenic.NumerovSolution(x=x, y=y, iterations=1)
 
     @staticmethod
     def _cubic(x):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from klbasis.csvio import read_csv, write_text
@@ -10,6 +10,7 @@ from klbasis.errors import NumericalError
 from klbasis.hydrogenic import (
     OrbitalSpec,
     family_values,
+    laguerre,
     make_family,
     radial_wavefunction,
 )
@@ -139,6 +140,49 @@ def _loop_radial(orb, r):
     with np.errstate(divide="ignore"):
         log_envelope = log_norm - rho / 2.0 + (l * np.log(rho) if l else 0.0)
     return np.exp(log_envelope) * _loop_laguerre(n - l - 1, 2 * l + 1, rho)
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+@st.composite
+def _laguerre_columns(draw):
+    """Unsorted degrees (ties and zeros likely: 1 to 16 columns drawn from
+    0..12), one alpha per column, and x with one entry per column (1-d) or
+    a few rows of them (2-d)."""
+    cols = draw(st.integers(1, 16))
+    degrees = draw(st.lists(st.integers(0, 12), min_size=cols, max_size=cols))
+    alphas = draw(st.lists(st.floats(-0.9, 40.0), min_size=cols, max_size=cols))
+    rows = draw(st.sampled_from([None, 1, 3]))
+    shape = (cols,) if rows is None else (rows, cols)
+    values = draw(st.lists(st.floats(-20.0, 120.0), min_size=math.prod(shape),
+                           max_size=math.prod(shape)))
+    return degrees, alphas, np.array(values).reshape(shape)
+
+
+class TestLaguerre:
+    """`laguerre` with per-column degrees keeps every bit of the scalar-degree
+    recurrence run one column at a time."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(case=_laguerre_columns())
+    @example(case=([3, 0, 7, 3, 0, 12], [1.0, 3.0, 0.5, 1.0, 7.0, 25.0], np.linspace(-5, 90, 6)))
+    @example(case=([2, 5, 5, 0], [1.0, 2.0, 3.0, 4.0], np.linspace(0, 40, 12).reshape(3, 4)))
+    def test_bit_identical_to_per_column_loop(self, case):
+        degrees, alphas, x = case
+        got = laguerre(np.array(degrees), np.array(alphas), x)
+        assert got.shape == x.shape and got.flags.c_contiguous
+        for j, (k, alpha) in enumerate(zip(degrees, alphas)):
+            want = _loop_laguerre(k, alpha, x[..., j])
+            assert np.array_equal(_bits(got[..., j]), _bits(want))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(k=st.integers(0, 30), alpha=st.floats(-0.9, 60.0), x=st.floats(-20.0, 120.0))
+    def test_scalar_x_and_degree(self, k, alpha, x):
+        got = laguerre(k, alpha, x)
+        assert isinstance(got, float)
+        assert _bits(got) == _bits(_loop_laguerre(k, alpha, np.float64(x)))
 
 
 class TestFamilyPass:
