@@ -444,8 +444,8 @@ def numerov_oracle(bvp: BoundaryValueProblem, n_points: int) -> NumerovSolution:
     and v starts from the regular series (for l = 0, s is the literal slope),
     so one sweep suffices; otherwise two are run. Each sweep is one blocked
     numpy scan (see _numerov_sweep). The residual that rounding in u + s v
-    leaves at b is removed along v once more, which meets y(b) to rounding
-    unless a value overflows; each failure raises NumericalError naming it.
+    leaves at b is removed along v once more, and y(b) must then meet y_f by
+    `BoundaryValueProblem.meets`; each failure raises NumericalError naming it.
     """
     if n_points < 1000:
         raise ValueError(f"n_points must be >= 1000, got {n_points}")
@@ -464,16 +464,13 @@ def numerov_oracle(bvp: BoundaryValueProblem, n_points: int) -> NumerovSolution:
     if not abs(bvp.y_a) <= _OVERFLOW_LIMIT:
         raise NumericalError(f"y_a = {bvp.y_a} is past the sweep's limit {_OVERFLOW_LIMIT:g}")
 
-    if bvp.a == 0.0 and bvp.y_a == 0.0:
-        seed1 = float(_regular_series(bvp, x[1]))
-        seed2 = float(_regular_series(bvp, x[2]))
+    from_origin = bvp.a == 0.0 and bvp.y_a == 0.0
+    if from_origin:
         u = np.zeros(n_points)
-        v = _numerov_sweep([0.0, seed1, seed2], coef, incr)
-        sweeps = 1
+        v = _numerov_sweep([0.0, *(float(_regular_series(bvp, t)) for t in x[1:3])], coef, incr)
     else:
         u = _numerov_sweep([bvp.y_a, bvp.y_a], coef, incr)
         v = _numerov_sweep([0.0, h], coef, incr)
-        sweeps = 2
 
     v_b = float(v[-1])
     if v_b == 0.0:
@@ -483,7 +480,11 @@ def numerov_oracle(bvp: BoundaryValueProblem, n_points: int) -> NumerovSolution:
         raise NumericalError(f"the slope (y_f - u(b)) / v(b) overflows a double, v(b) = {v_b:.3g}")
     with np.errstate(over="ignore", invalid="ignore"):
         y = u + slope * v
-        y += (bvp.y_f - float(y[-1])) / v_b * v
+        correction = (bvp.y_f - float(y[-1])) / v_b
+        y += correction * v
     if not np.isfinite(y).all():
         raise NumericalError("the superposed solution y = u + s v overflows a double")
-    return NumerovSolution(x=x, y=y, iterations=sweeps)
+    rounding = 2.0 * float(_FINFO.eps) * (abs(float(u[-1])) + abs((slope + correction) * v_b))
+    if not bvp.meets([y[0], y[-1]], rounding):
+        raise NumericalError(f"y(b) misses y_f: the slope underflows, v(b) = {v_b:.3g}")
+    return NumerovSolution(x=x, y=y, iterations=1 if from_origin else 2)

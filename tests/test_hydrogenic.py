@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, solve_bvp
 from scipy.special import eval_genlaguerre
@@ -227,6 +227,8 @@ _ORACLE_1S = {"l": 0, "Z": 1.0, "E": -0.5, "a": 0.0, "b": 7.0, "y_a": 0.0, "y_f"
 
 _SUPERPOSED_OVERFLOW = "the superposed solution y = u + s v overflows a double"
 
+_SLOPE_UNDERFLOW = "y(b) misses y_f: the slope underflows"
+
 _BOUNDARY_VALUES = st.one_of(
     st.just(0.0),
     st.floats(-10.0, 10.0),
@@ -244,7 +246,7 @@ def _shooting_problems(draw):
         "Z": 1.0,
         "E": draw(st.floats(-1.0, 0.5)),
         "a": a,
-        "b": a + draw(st.floats(1.0, 30.0)),
+        "b": a + draw(st.floats(1.0, 100.0)),
         "y_a": draw(_BOUNDARY_VALUES),
         "y_f": draw(_BOUNDARY_VALUES),
     }
@@ -354,8 +356,11 @@ class TestNumerovOracle:
             ({"l": 10, "E": 0.5, "b": 17.634, "y_f": 1e305}, _SUPERPOSED_OVERFLOW),
             # x^(l+1) underflows at both seed points, so v is zero throughout
             ({"l": 200}, "unit-slope sweep vanishes at b; no slope matches y(b)"),
+            # s = 1e-300 / v(b) is below the subnormals and rounds to 0, so
+            # y = s v is 0 everywhere: finite, but y(b) is not y_f
+            ({"E": -0.45, "b": 100.0, "y_f": 1e-300}, f"{_SLOPE_UNDERFLOW}, v(b) = -1.76e+37"),
         ],
-        ids=["slope", "y_a", "superposed-at-b", "superposed-inside", "vanishing-v"],
+        ids=["slope", "y_a", "superposed-at-b", "superposed-inside", "vanishing-v", "slope-under"],
     )
     def test_failure_names_its_cause(self, problem, message):
         bvp = BoundaryValueProblem(**{**_ORACLE_1S, **problem})
@@ -364,22 +369,31 @@ class TestNumerovOracle:
             with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
                 numerov_oracle(bvp, 20_000)
 
+    @example(problem={**_ORACLE_1S, "E": -0.45, "b": 100.0, "y_f": 1e-300})
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(problem=_shooting_problems())
     def test_superposition_meets_the_boundary_values(self, problem):
-        # the correction along v leaves y(b) within rounding of y_f
-        # whenever no value overflows, so the oracle needs no check of it:
-        # this is the rule, and the rounding bound, that it once checked
+        # the correction along v leaves y(b) within rounding of y_f unless a
+        # value overflows or the slope underflows: a solution meets y(b), and
+        # a raised underflow has a slope below the normal doubles
         bvp = BoundaryValueProblem(**problem)
+        sol, message = None, ""
         with pytest.MonkeyPatch.context() as patch:
             calls = _record_sweeps(patch)
             try:
                 sol = numerov_oracle(bvp, 1000)
-            except NumericalError:
-                event("raised")
-                return
-        event("solved")
+            except NumericalError as err:
+                message = str(err)
+        if sol is None and not message.startswith(_SLOPE_UNDERFLOW):
+            event("raised: another cause")
+            return
         u_b = float(hydrogenic._numerov_sweep(*calls[0])[-1]) if len(calls) == 2 else 0.0
+        if sol is None:
+            event("raised: the slope underflows")
+            v_b = float(hydrogenic._numerov_sweep(*calls[-1])[-1])
+            assert abs((bvp.y_f - u_b) / v_b) < sys.float_info.min
+            return
+        event("solved")
         rounding = 2.0 * sys.float_info.epsilon * (abs(u_b) + abs(bvp.y_f - u_b))
         assert sol.y[0] == bvp.y_a
         assert np.isfinite(sol.y).all()
