@@ -1,6 +1,6 @@
 """Covariance-optimal truncated basis sets from sampled hydrogen-like
 radial wavefunctions, and a spectral collocation solver that uses them on
-the regularized radial boundary-value problem."""
+the radial boundary-value problem."""
 
 from .errors import ConfigError, NumericalError
 from .hydrogenic import (

@@ -1,5 +1,5 @@
 """Hydrogen-like radial wavefunctions and reference solutions of the
-regularized radial boundary-value problem.
+radial boundary-value problem.
 
 All lengths are in Bohr radii and all energies in Hartree. The radial
 functions follow the closed form
@@ -88,12 +88,12 @@ def make_family(n_max: int, Z: float = 1.0) -> tuple[OrbitalSpec, ...]:
 
 @dataclass(frozen=True)
 class BoundaryValueProblem:
-    """The regularized radial equation on [a, b] at fixed energy E:
+    """The radial equation on [a, b] at fixed energy E:
 
-        -y''/2 + [-Z/(x + eps) + l(l+1)/(2 x^2 + eps)] y = E y
+        -y''/2 + [-Z/x + l(l+1)/(2 x^2)] y = E y
 
     with y(a) = y_a and y(b) = y_f. The small eps keeps the potential
-    finite at the origin.
+    finite where it divides by zero, at the origin (see `potential`).
     """
 
     l: int
@@ -116,11 +116,16 @@ class BoundaryValueProblem:
             raise ValueError(f"Z must be positive, got {self.Z}")
 
     def potential(self, x):
-        """Effective potential -Z/(x+eps) + l(l+1)/(2x^2+eps)."""
+        """V(x): the exact -Z/x + l(l+1)/(2x^2), regularized to -Z/(x+eps) +
+        l(l+1)/(2x^2+eps) only where that divides by zero: at x <= 0 and
+        where 2x^2 underflows. eps at every point would shift the solution
+        by an admixture of the growing solution, first order in eps and
+        above every solver's accuracy."""
         x = np.asarray(x, dtype=float)
-        v = -self.Z / (x + self.epsilon)
-        if self.l > 0:
-            v = v + self.l * (self.l + 1) / (2.0 * x * x + self.epsilon)
+        x2 = 2.0 * x * x
+        eps = np.where((x > 0) & (x2 > 0), 0.0, self.epsilon)
+        with np.errstate(divide="ignore", over="ignore"):
+            v = -self.Z / (x + eps) + self.l * (self.l + 1) / (x2 + eps)
         return v if v.ndim else float(v)
 
     def meets(self, values, rounding) -> np.ndarray:
@@ -233,8 +238,8 @@ def reduced_eigenstate(orb: OrbitalSpec, b: float, y_f: float, x):
         y(x) = y_f (x/b)^(l+1) exp(kappa (b - x)) L(2 kappa x) / L(2 kappa b)
 
     with kappa = Z/n and L = L_{n-l-1}^{2l+1}: the reduced radial function
-    x R_nl(x), which solves the problem exactly at E = -Z^2/(2n^2) with
-    vanishing regularization, scaled so that y(0) = 0 and y(b) = y_f.
+    x R_nl(x), which solves the problem exactly at E = -Z^2/(2n^2) on
+    x > 0, scaled so that y(0) = 0 and y(b) = y_f.
 
     Raises NumericalError when b is a node of the state (L(2 kappa b) = 0,
     so no multiple of it meets y(b) = y_f) or when a value, or L(2 kappa b),
@@ -414,25 +419,6 @@ def _regular_series(bvp: BoundaryValueProblem, x):
         return x ** (l + 1) * (1.0 + x * (b1 + x * (b2 + x * b3)))
 
 
-def _oracle_potential(bvp: BoundaryValueProblem, x: np.ndarray) -> np.ndarray:
-    """Potential used by the integration oracle on the ascending grid x.
-
-    Away from the origin this is the exact -Z/x + l(l+1)/(2x^2); the
-    epsilon term exists to avoid the singularity at x = 0, so it enters
-    only there (where the potential value multiplies y(0) = 0 anyway).
-    Folding epsilon into every point instead would shift the solution by
-    a first-order-in-epsilon admixture of the growing solution, visibly
-    above the oracle's own accuracy.
-    """
-    k = int(np.searchsorted(x, 0.0, side="right"))
-    xp = x[k:]
-    v = np.empty_like(x)
-    v[:k] = bvp.potential(x[:k])
-    np.divide(-bvp.Z, xp, out=v[k:])
-    v[k:] += bvp.l * (bvp.l + 1) / (2.0 * xp * xp)
-    return v
-
-
 def numerov_oracle(bvp: BoundaryValueProblem, n_points: int) -> NumerovSolution:
     """Integrate the boundary-value problem with the Numerov scheme,
     fixing the initial slope by linear shooting (superposition).
@@ -453,7 +439,7 @@ def numerov_oracle(bvp: BoundaryValueProblem, n_points: int) -> NumerovSolution:
     h = (bvp.b - bvp.a) / (n_points - 1)
     # at |E| near the largest double g overflows before any step
     with np.errstate(over="ignore", invalid="ignore"):
-        g = 2.0 * (_oracle_potential(bvp, x) - bvp.E)
+        g = 2.0 * (bvp.potential(x) - bvp.E)
         incr = (h * h) * g
         coef = 1.0 - (h * h / 12.0) * g
 
@@ -475,7 +461,8 @@ def numerov_oracle(bvp: BoundaryValueProblem, n_points: int) -> NumerovSolution:
     v_b = float(v[-1])
     if v_b == 0.0:
         raise NumericalError("unit-slope sweep vanishes at b; no slope matches y(b)")
-    slope = (bvp.y_f - float(u[-1])) / v_b
+    # in Python floats, which overflow to inf without a warning
+    slope = (float(bvp.y_f) - float(u[-1])) / v_b
     if not math.isfinite(slope):
         raise NumericalError(f"the slope (y_f - u(b)) / v(b) overflows a double, v(b) = {v_b:.3g}")
     with np.errstate(over="ignore", invalid="ignore"):

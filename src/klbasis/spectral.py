@@ -1,5 +1,5 @@
-"""Collocation solver for the regularized radial boundary-value problem
-in a truncated basis of interpolated modes.
+"""Collocation solver for the radial boundary-value problem in a
+truncated basis of interpolated modes.
 
 The unknown is expanded as y(x) = sum_i c_i phi_i(x); the two boundary
 values are imposed exactly, and the differential equation in the least-
@@ -165,10 +165,10 @@ def assemble(problem: CollocationProblem) -> tuple[np.ndarray, np.ndarray]:
 
         A[j, i] = -phi_i''(x_j)/2 + [V(x_j) - E] phi_i(x_j),  rhs 0,
 
-    with V the regularized potential; then one row per boundary condition
-    pinning y(a) = y_a and y(b) = y_f. Only the (V - E) diagonal is formed
-    per call. At |E| near the largest double the rows overflow; they are
-    returned as they are, not finite, for the caller to classify.
+    with V = `BoundaryValueProblem.potential`; then one row per boundary
+    condition pinning y(a) = y_a and y(b) = y_f. Only the (V - E) diagonal
+    is formed per call. At |E| near the largest double the rows overflow;
+    they are returned as they are, not finite, for the caller to classify.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         interior = problem._interior.operator(problem.bvp.E)

@@ -721,7 +721,7 @@ class TestSolve:
             return [report[k] for k in ("rel_l2_error_mid", "rel_l2_error_mid_raw", "residual_norm")]
 
         normal = figures(1e-4)
-        assert normal[0] == 0.0011951561312580083
+        assert normal[0] == 0.001195170552237075
         assert figures(math.ldexp(1e-4, -1000)) == normal
         assert figures(math.ldexp(1e-4, -1040)) == pytest.approx(normal, rel=1e-6, abs=0)
 
@@ -761,7 +761,7 @@ class TestSolve:
         cfg = write_config(tmp_path, {"family": {"n_max": 200}})
         out = tmp_path / "out"
         assert run(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 0
-        assert read_json(out / "report.json")["rel_l2_error_mid"] == 0.04904602794605435
+        assert read_json(out / "report.json")["rel_l2_error_mid"] == 0.04904602714646398
 
     def test_zero_boundary_solution(self, tmp_path):
         cfg = write_config(tmp_path, {"problem": {"y_f": 0.0}})
@@ -824,7 +824,7 @@ class TestSolve:
         report = read_json(tmp_path / "solve" / "report.json")
         assert report["reference"] == "closed-form"
         # the exact 2p solution x^2 e^{-x/2}, as in the test below
-        exact = 0.0030768368666138014
+        exact = 0.003076836889356907
         assert abs(report["rel_l2_error_mid"] - exact) <= 1e-14 * exact
 
     @pytest.mark.parametrize("a", [0.0, 1.0])
@@ -874,7 +874,7 @@ class TestSolve:
 
     def test_excited_state_error_against_exact_solution(self, tmp_path):
         # the same metric computed against the exact 2p solution x^2 e^{-x/2}
-        exact = 0.0030768368666138014
+        exact = 0.003076836889356907
         cfg = write_config(tmp_path, {"problem": {"n": 2, "l": 1, "E": -0.125, "b": 20.0}})
         out = tmp_path / "out"
         assert run(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 0
@@ -1025,10 +1025,10 @@ class TestCompareBases:
     @pytest.mark.parametrize(
         "overrides, expected",
         [
-            ({}, 0.04193221956740139),
+            ({}, 0.04193221884106675),
             (
                 {"problem": {"n": 2, "l": 1, "E": -0.125, "E_range": [-0.2, -0.05], "b": 20.0}},
-                0.0030768368666138014,
+                0.003076836889356907,
             ),
         ],
         ids=["default", "excited2p"],

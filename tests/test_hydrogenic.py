@@ -229,6 +229,8 @@ _SUPERPOSED_OVERFLOW = "the superposed solution y = u + s v overflows a double"
 
 _SLOPE_UNDERFLOW = "y(b) misses y_f: the slope underflows"
 
+_SLOPE_OVERFLOW = "the slope (y_f - u(b)) / v(b) overflows a double"
+
 _BOUNDARY_VALUES = st.one_of(
     st.just(0.0),
     st.floats(-10.0, 10.0),
@@ -346,7 +348,10 @@ class TestNumerovOracle:
         "problem, message",
         [
             # v(b) = 6.38e-3, so s = 1e308 / v(b) is past the largest double
-            ({"y_f": 1e308}, "the slope (y_f - u(b)) / v(b) overflows a double, v(b) = 0.00638"),
+            ({"y_f": 1e308}, f"{_SLOPE_OVERFLOW}, v(b) = 0.00638"),
+            # a numpy-scalar y_f overflows the slope without a warning too
+            ({"E": -0.1, "y_f": np.finfo(float).max}, f"{_SLOPE_OVERFLOW}, v(b) = -0.327"),
+            ({"E": 0.0, "y_f": np.finfo(float).max}, f"{_SLOPE_OVERFLOW}, v(b) = 0.245"),
             # a general start puts y_a itself on the grid, before any step
             ({"a": 0.5, "y_a": 1e308, "y_f": 1.0}, "y_a = 1e+308 is past the sweep's limit 1e+250"),
             # s is finite, but s v(b) rounds past the largest double
@@ -360,7 +365,10 @@ class TestNumerovOracle:
             # y = s v is 0 everywhere: finite, but y(b) is not y_f
             ({"E": -0.45, "b": 100.0, "y_f": 1e-300}, f"{_SLOPE_UNDERFLOW}, v(b) = -1.76e+37"),
         ],
-        ids=["slope", "y_a", "superposed-at-b", "superposed-inside", "vanishing-v", "slope-under"],
+        ids=[
+            "slope", "slope-numpy-E-0.1", "slope-numpy-E0", "y_a", "superposed-at-b",
+            "superposed-inside", "vanishing-v", "slope-under",
+        ],
     )
     def test_failure_names_its_cause(self, problem, message):
         bvp = BoundaryValueProblem(**{**_ORACLE_1S, **problem})
@@ -398,6 +406,54 @@ class TestNumerovOracle:
         assert sol.y[0] == bvp.y_a
         assert np.isfinite(sol.y).all()
         assert bvp.meets([sol.y[0], sol.y[-1]], rounding)
+
+
+def _exact(l, Z, x):
+    return -Z / x + l * (l + 1) / (2.0 * x * x)
+
+
+def _regularized(l, Z, eps, x):
+    with np.errstate(divide="ignore"):
+        return -Z / (x + eps) + l * (l + 1) / (2.0 * x * x + eps)
+
+
+class TestPotential:
+    """`BoundaryValueProblem.potential`, the one V(x) that every solver reads."""
+
+    @staticmethod
+    def bvp(l, Z):
+        return BoundaryValueProblem(l=l, Z=Z, E=-0.5, a=0.0, b=7.0, y_a=0.0, y_f=1e-4)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            np.linspace(0.0, 7.0, 20_000),
+            np.linspace(0.0, 20.0, 1000),
+            np.concatenate([np.linspace(-1.0, 0.0, 11), np.linspace(0.0, 15.0, 2001)[1:]]),
+        ],
+        ids=["oracle-1s", "oracle-2p", "through-origin"],
+    )
+    @pytest.mark.parametrize("Z", [1.0, 2.5])
+    @pytest.mark.parametrize("l", [0, 1, 2, 3])
+    def test_exact_where_x_is_positive(self, l, Z, grid):
+        # bit for bit the arithmetic of `_exact`, on which the Numerov
+        # oracle's output depends; eps enters only at x <= 0
+        bvp = self.bvp(l, Z)
+        v = bvp.potential(grid)
+        pos = grid > 0
+        assert np.array_equal(v[pos], _exact(l, Z, grid[pos]))
+        assert np.array_equal(v[~pos], _regularized(l, Z, bvp.epsilon, grid[~pos]))
+
+    @pytest.mark.parametrize("x", [0.0, 5e-324, 1e-200, -1e-10, -1.0])
+    @pytest.mark.parametrize("l", [0, 2])
+    def test_regularized_where_the_exact_form_divides_by_zero(self, l, x):
+        # at x <= 0, and where 2x^2 underflows to 0; a scalar in, a float out
+        bvp = self.bvp(l, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = bvp.potential(x)
+        assert type(v) is float
+        assert v == _regularized(l, 1.0, bvp.epsilon, np.float64(x))
 
 
 class TestBoundaryRule:
