@@ -60,8 +60,13 @@ def _number(value, name: str) -> float:
 
 
 def _integer(value, name: str) -> int:
-    if not _number(value, name).is_integer():
+    """A whole number of magnitude at most 2**53 - 1: the integers a double
+    holds exactly, the range I-JSON (RFC 7493) calls interoperable."""
+    number = _number(value, name)
+    if not number.is_integer():
         raise ConfigError(f"{name} must be an integer, got {_json(value)}")
+    if abs(number) > 2**53 - 1:
+        raise ConfigError(f"{name} must be at most 2**53 - 1 in magnitude, got {_json(value)}")
     return int(value)
 
 
@@ -136,7 +141,6 @@ _SCHEMA = (
     ("problem.b", 7.0, _number),
     ("problem.y_a", 0.0, _number),
     ("problem.y_f", 1e-4, _number),
-    ("problem.epsilon", 1e-10, _positive),
     ("output.directory", "out", _directory),
     ("output.export_points", 201, _at_least(2)),
     ("seed", 20080556, _at_least(0)),
@@ -208,13 +212,8 @@ def validate_config(doc: dict, overrides: dict | None = None) -> dict:
         raise ConfigError(f"truncation.value must be in (0, 1], got {trunc['value']}")
     if not prob["l"] < prob["n"]:
         raise ConfigError(f"problem quantum numbers need l < n, got l={prob['l']}, n={prob['n']}")
-    # the potential reaches -Z/epsilon and l(l+1)/epsilon at x = 0
-    eps, l, Z = prob["epsilon"], prob["l"], cfg["family"]["Z"]
-    if not (math.isfinite(Z / eps) and math.isfinite(l * (l + 1) / eps)):
-        raise ConfigError(
-            f"problem.epsilon must keep Z/epsilon and l(l+1)/epsilon finite, got {eps}"
-        )
     # the orbitals are evaluated at rho = 2 Z r / n, up to 2 Z b
+    Z = cfg["family"]["Z"]
     if not math.isfinite(2.0 * Z * samp["b"]):
         raise ConfigError(f"sampling.b must keep 2*Z*b finite, got b={samp['b']}, Z={Z}")
     if not prob["a"] < prob["b"]:
@@ -275,7 +274,6 @@ def problem_from_config(config: dict) -> BoundaryValueProblem:
         b=float(prob["b"]),
         y_a=float(prob["y_a"]),
         y_f=float(prob["y_f"]),
-        epsilon=float(prob["epsilon"]),
     )
 
 

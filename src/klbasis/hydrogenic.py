@@ -92,8 +92,8 @@ class BoundaryValueProblem:
 
         -y''/2 + [-Z/x + l(l+1)/(2 x^2)] y = E y
 
-    with y(a) = y_a and y(b) = y_f. The small eps keeps the potential
-    finite where it divides by zero, at the origin (see `potential`).
+    with y(a) = y_a and y(b) = y_f: its domain, its boundary values, its
+    energy and the V(x) that l and Z set (see `potential`).
     """
 
     l: int
@@ -103,27 +103,24 @@ class BoundaryValueProblem:
     b: float
     y_a: float
     y_f: float
-    epsilon: float = 1e-10
 
     def __post_init__(self):
         if not self.a < self.b:
             raise ValueError(f"need a < b, got a={self.a}, b={self.b}")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.l < 0:
             raise ValueError(f"l must be non-negative, got {self.l}")
         if not self.Z > 0:
             raise ValueError(f"Z must be positive, got {self.Z}")
 
     def potential(self, x):
-        """V(x): the exact -Z/x + l(l+1)/(2x^2), regularized to -Z/(x+eps) +
-        l(l+1)/(2x^2+eps) only where that divides by zero: at x <= 0 and
-        where 2x^2 underflows. eps at every point would shift the solution
-        by an admixture of the growing solution, first order in eps and
-        above every solver's accuracy."""
+        """V(x): the exact -Z/x + l(l+1)/(2x^2), regularized by a fixed 1e-10
+        to -Z/(x+1e-10) + l(l+1)/(2x^2+1e-10) only where that divides by
+        zero: at x <= 0 and where 2x^2 underflows, where every sampled
+        x R(x) is zero up to rounding. The shift at every point would add the
+        growing solution at first order, above every solver's accuracy."""
         x = np.asarray(x, dtype=float)
         x2 = 2.0 * x * x
-        eps = np.where((x > 0) & (x2 > 0), 0.0, self.epsilon)
+        eps = np.where((x > 0) & (x2 > 0), 0.0, 1e-10)
         with np.errstate(divide="ignore", over="ignore"):
             v = -self.Z / (x + eps) + self.l * (self.l + 1) / (x2 + eps)
         return v if v.ndim else float(v)

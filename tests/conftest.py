@@ -30,9 +30,7 @@ def reproduction_pipeline(family28):
 
 @pytest.fixture(scope="session")
 def reproduction_bvp():
-    return BoundaryValueProblem(
-        l=0, Z=1.0, E=-0.5, a=0.0, b=7.0, y_a=0.0, y_f=1e-4, epsilon=1e-10
-    )
+    return BoundaryValueProblem(l=0, Z=1.0, E=-0.5, a=0.0, b=7.0, y_a=0.0, y_f=1e-4)
 
 
 @pytest.fixture(scope="session")

@@ -203,14 +203,45 @@ class TestConfig:
         cfg = write_config(tmp_path, {"problem": {"y_a": 1.0, "y_f": 1.0}})
         assert run(["solve", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
 
-    @pytest.mark.parametrize("epsilon", [5e-324, 1e-320])
-    def test_epsilon_that_overflows_the_potential(self, tmp_path, capsys, epsilon):
-        # -Z/epsilon overflows to inf at the origin and puts nan in the artifacts
-        cfg = write_config(tmp_path, {"problem": {"epsilon": epsilon}})
+    @pytest.mark.parametrize("command", ["gen-basis", "solve", "scan-energy", "compare-bases"])
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            # the potential's regularization at the origin is a fixed 1e-10:
+            # the key changed no artifact at any value that gave finite outputs
+            ({"problem": {"epsilon": 1e-10}}, "unknown config key 'problem.epsilon'"),
+            # l(l+1) of l = 1e160 overflows a double; no check may reach it
+            (
+                {"problem": {"n": 1e200, "l": 1e160}},
+                "problem.n must be at most 2**53 - 1 in magnitude, got 1e+200",
+            ),
+        ],
+        ids=["removed-epsilon", "float-quantum-numbers"],
+    )
+    def test_rejected_by_every_subcommand(self, tmp_path, capsys, doc, message, command):
+        cfg = write_config(tmp_path, doc)
         out = tmp_path / "out"
-        assert run(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 1
-        assert "config error: problem.epsilon" in capsys.readouterr().err
+        assert run([command, "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["family.n_max", "sampling.N_s", "problem.n", "seed"])
+    @pytest.mark.parametrize("kind", [int, float])
+    def test_integers_bounded_by_what_a_double_holds(self, name, kind):
+        # 2**53 - 1 is the largest magnitude I-JSON (RFC 7493) calls
+        # interoperable, and the largest a double holds with every integer below
+        section, _, key = name.rpartition(".")
+
+        def doc(value):
+            return {section: {key: kind(value)}} if section else {key: kind(value)}
+
+        config = cli.validate_config(doc(2**53 - 1))
+        assert (config[section] if section else config)[key] == 2**53 - 1
+        with pytest.raises(ConfigError) as err:
+            cli.validate_config(doc(2**53))
+        assert str(err.value) == (
+            f"{name} must be at most 2**53 - 1 in magnitude, got {json.dumps(kind(2**53))}"
+        )
 
     @pytest.mark.parametrize("command", ["gen-basis", "solve"])
     def test_domain_too_narrow_to_differentiate(self, tmp_path, capsys, command):
@@ -1118,10 +1149,22 @@ _BAD_LEAVES = [
     ("problem", "E_range", [-0.3, -0.7]),
     ("problem", "n_steps", 2),
     ("problem", "y_a", 1.0),
-    ("problem", "epsilon", 5e-324),
+    ("problem", "epsilon", 5e-324),  # a removed key
     ("output", "export_points", 1),
     ("output", "formats", ["csv"]),
+    # integers past 2**53 - 1: each ended solve or scan-energy in a traceback
+    # before integer values were bounded
+    ("problem", "n", 10**200),
+    ("sampling", "N_s", 10**30),
+    ("output", "export_points", 10**30),
+    ("problem", "n_steps", 10**30),
 ]
+
+
+def _leaf_id(leaf) -> str:
+    section, key, value = leaf
+    past_bound = isinstance(value, int) and abs(value) > 2**53 - 1
+    return f"{section}.{key}" + ("-past-2**53" if past_bound else "")
 
 
 @st.composite
@@ -1220,7 +1263,7 @@ class TestExitCodeProperties:
 
     # the derandomized property test draws only some of the leaves
     @pytest.mark.parametrize("command", ["solve", "scan-energy"])
-    @pytest.mark.parametrize("leaf", _BAD_LEAVES, ids=lambda leaf: f"{leaf[0]}.{leaf[1]}")
+    @pytest.mark.parametrize("leaf", _BAD_LEAVES, ids=_leaf_id)
     def test_every_bad_leaf_over_the_defaults(self, tmp_path, capsys, leaf, command):
         section, key, value = leaf
         path = write_config(tmp_path, {section: {key: value}})

@@ -31,9 +31,7 @@ def eigenmode_basis(extra=()):
     return nodes, basisfn.BasisFunction(nodes, np.column_stack(columns))
 
 
-GROUND_BVP = BoundaryValueProblem(
-    l=0, Z=1.0, E=-0.5, a=0.0, b=7.0, y_a=0.0, y_f=1e-4, epsilon=1e-10
-)
+GROUND_BVP = BoundaryValueProblem(l=0, Z=1.0, E=-0.5, a=0.0, b=7.0, y_a=0.0, y_f=1e-4)
 
 
 def pipeline_case(overrides: dict):
@@ -74,9 +72,7 @@ SCAN_CASES = pytest.mark.parametrize(
 class TestAssemble:
     def test_exact_eigenfunction_annihilates_interior_rows(self):
         _, funcs = eigenmode_basis()
-        bvp = BoundaryValueProblem(
-            l=0, Z=1.0, E=-0.5, a=0.0, b=7.0, y_a=0.0, y_f=1e-4, epsilon=1e-300
-        )
+        bvp = BoundaryValueProblem(l=0, Z=1.0, E=-0.5, a=0.0, b=7.0, y_a=0.0, y_f=1e-4)
         # one mode: its 28 interior nodes are the points
         matrix, _ = assemble(make_collocation_problem(bvp, funcs))
         assert matrix.shape == (30, 1)
@@ -94,7 +90,7 @@ class TestAssemble:
         _, funcs = eigenmode_basis()
         delta = 0.1
         shifted = BoundaryValueProblem(
-            l=0, Z=1.0, E=GROUND_BVP.E + delta, a=0.0, b=7.0, y_a=0.0, y_f=1e-4, epsilon=1e-10
+            l=0, Z=1.0, E=GROUND_BVP.E + delta, a=0.0, b=7.0, y_a=0.0, y_f=1e-4
         )
         prob = make_collocation_problem(GROUND_BVP, funcs)
         A1, _ = assemble(prob)
@@ -190,9 +186,7 @@ class TestSolve:
 
     def test_linear_in_boundary_data(self, reproduction_funcs8, reproduction_bvp):
         sol1 = solve(make_collocation_problem(reproduction_bvp, reproduction_funcs8))
-        doubled = BoundaryValueProblem(
-            l=0, Z=1.0, E=-0.5, a=0.0, b=7.0, y_a=0.0, y_f=2e-4, epsilon=1e-10
-        )
+        doubled = BoundaryValueProblem(l=0, Z=1.0, E=-0.5, a=0.0, b=7.0, y_a=0.0, y_f=2e-4)
         sol2 = solve(make_collocation_problem(doubled, reproduction_funcs8))
         scale = np.max(np.abs(sol2.coefficients))
         assert np.max(np.abs(sol2.coefficients - 2.0 * sol1.coefficients)) <= 1e-10 * scale
