@@ -11,8 +11,9 @@ Configuration is a single JSON document whose keys, defaults and checks
 form one table, `_SCHEMA`; ``--config`` points at it and ``--out-dir`` /
 ``--seed`` override the corresponding entries. Each subcommand returns its
 artifacts and `main` writes them. Exit codes: 0 success, 1 a usage or
-configuration error, 2 a classified numerical failure (`NumericalError`);
-any other exception is a defect and propagates.
+configuration error, 2 a classified numerical failure (`NumericalError`)
+or an allocation the host refuses; any other exception is a defect and
+propagates.
 """
 
 from __future__ import annotations
@@ -529,6 +530,10 @@ def main(argv=None) -> int:
         return 1
     except NumericalError as err:
         print(f"numerical error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError as err:
+        detail = f": {err}" if str(err) else ""  # numpy names the allocation
+        print(f"numerical error: out of memory{detail}", file=sys.stderr)
         return 2
     out_dir = Path(config["output"]["directory"])
     out_dir.mkdir(parents=True, exist_ok=True)

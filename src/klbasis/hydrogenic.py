@@ -36,7 +36,6 @@ __all__ = [
     "radial_norm",
     "make_family",
     "reduced_eigenstate",
-    "reduced_ground_state",
     "numerov_oracle",
 ]
 
@@ -260,12 +259,6 @@ def reduced_eigenstate(orb: OrbitalSpec, b: float, y_f: float, x):
     if not (math.isfinite(at_b) and np.all(np.isfinite(vals))):
         raise NumericalError(f"the closed-form {orb.label} reference overflows on [0, {b}]")
     return vals if vals.ndim else float(vals)
-
-
-def reduced_ground_state(b: float, y_f: float, x):
-    """Closed-form reference y(x) = y_f (x/b) exp(b - x): the (n, l, Z) =
-    (1, 0, 1) case of `reduced_eigenstate`, at E = -1/2."""
-    return reduced_eigenstate(OrbitalSpec(1, 0, 1.0), b, y_f, x)
 
 
 @dataclass(frozen=True)

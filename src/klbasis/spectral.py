@@ -20,7 +20,6 @@ __all__ = [
     "CollocationProblem",
     "SpectralSolution",
     "EnergyScan",
-    "make_collocation_problem",
     "assemble",
     "solve",
     "residual",
@@ -153,10 +152,6 @@ class CollocationProblem:
     @property
     def n_modes(self) -> int:
         return self.basis.samples.shape[1]
-
-
-# the name the library examples build a problem by
-make_collocation_problem = CollocationProblem
 
 
 def assemble(problem: CollocationProblem) -> tuple[np.ndarray, np.ndarray]:

@@ -11,13 +11,14 @@ import numpy as np
 
 from klbasis import basisfn, cli, klcore, spectral
 from klbasis.hydrogenic import (
+    OrbitalSpec,
     numerov_oracle,
     radial_norm,
     radial_wavefunction,
-    reduced_ground_state,
+    reduced_eigenstate,
 )
 from klbasis.klcore import energy_fraction_modes, reconstruction_mse, truncate_basis
-from klbasis.spectral import energy_scan, make_collocation_problem, residual, solve
+from klbasis.spectral import CollocationProblem, energy_scan, residual, solve
 from conftest import scaled_rel_l2
 
 
@@ -112,9 +113,9 @@ def test_criterion_4_kl_optimality(reproduction_pipeline):
 
 
 def test_criterion_5_reproduction_solve(reproduction_funcs8, reproduction_bvp):
-    sol = solve(make_collocation_problem(reproduction_bvp, reproduction_funcs8))
+    sol = solve(CollocationProblem(reproduction_bvp, reproduction_funcs8))
     xs = np.linspace(0.5, 5.0, 201)
-    ref = reduced_ground_state(reproduction_bvp.b, reproduction_bvp.y_f, xs)
+    ref = reduced_eigenstate(OrbitalSpec(1, 0), reproduction_bvp.b, reproduction_bvp.y_f, xs)
     rel = scaled_rel_l2(np.atleast_1d(sol.eval(xs)), ref)
 
     grid = np.linspace(reproduction_bvp.a, reproduction_bvp.b, 501)
@@ -138,13 +139,17 @@ def test_criterion_5_reproduction_solve(reproduction_funcs8, reproduction_bvp):
 def test_criterion_6_oracle_agreement(reproduction_funcs8, reproduction_bvp):
     oracle = numerov_oracle(reproduction_bvp, 100_000)
     mask = oracle.x >= 0.7
-    ref = reduced_ground_state(reproduction_bvp.b, reproduction_bvp.y_f, oracle.x[mask])
+    ref = reduced_eigenstate(
+        OrbitalSpec(1, 0), reproduction_bvp.b, reproduction_bvp.y_f, oracle.x[mask]
+    )
     oracle_dev = float(np.max(np.abs(oracle.y[mask] - ref) / np.abs(ref)))
 
-    sol = solve(make_collocation_problem(reproduction_bvp, reproduction_funcs8))
+    sol = solve(CollocationProblem(reproduction_bvp, reproduction_funcs8))
     xs = np.linspace(0.5, 5.0, 201)
     y = np.atleast_1d(sol.eval(xs))
-    err_closed = scaled_rel_l2(y, reduced_ground_state(reproduction_bvp.b, reproduction_bvp.y_f, xs))
+    err_closed = scaled_rel_l2(
+        y, reduced_eigenstate(OrbitalSpec(1, 0), reproduction_bvp.b, reproduction_bvp.y_f, xs)
+    )
     err_numerov = scaled_rel_l2(y, np.interp(xs, oracle.x, oracle.y))
     cross = abs(err_closed - err_numerov)
     ok = oracle_dev <= 1e-6 and cross < 0.1 * err_closed

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -991,6 +992,10 @@ class TestReference:
         linear = np.interp(xm, fine.x, fine.y)
         assert cli._mid_errors(refm, truth)[0] <= cli._mid_errors(linear, truth)[0]
 
+    def test_zero_solution_has_no_fitted_error(self):
+        # no multiple of y = 0 fits ref; the raw error is exactly 1
+        assert cli._mid_errors(np.zeros(201), np.linspace(1.0, 2.0, 201)) == (None, 1.0)
+
 
 class TestScanEnergy:
     def test_reproduction_scan(self, tmp_path):
@@ -1107,15 +1112,75 @@ for command in cli._COMMANDS:
 """
 
 
-def test_subcommands_import_neither_numpy_ma_nor_numpy_random(tmp_path):
+def run_python(args, limit=None) -> subprocess.CompletedProcess:
+    """A child Python process that imports klbasis from this tree, its
+    address space capped at `limit` bytes when one is given."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", _IMPORT_GUARD, str(tmp_path / "out")],
-        env={**os.environ, "PYTHONPATH": path},
+    cap = None if limit is None else lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=cap,
         capture_output=True,
         text=True,
     )
+
+
+def test_subcommands_import_neither_numpy_ma_nor_numpy_random(tmp_path):
+    result = run_python(["-c", _IMPORT_GUARD, str(tmp_path / "out")])
     assert result.returncode == 0, result.stderr
+
+
+class TestProcess:
+    @pytest.mark.parametrize(
+        "command, overrides, code, stderr",
+        [
+            ("gen-basis", {}, 0, ""),
+            (
+                "gen-basis",
+                {"problem": {"epsilon": 1e-10}},
+                1,
+                "config error: unknown config key 'problem.epsilon'\n",
+            ),
+            (
+                "solve",
+                {"sampling": {"b": 1e-150}, "problem": {"b": 1e-151, "n": 2, "l": 1}},
+                2,
+                "numerical error: the Numerov coefficients overflow a double at E = -0.5\n",
+            ),
+        ],
+        ids=["success", "config-error", "numerical-error"],
+    )
+    def test_exit_code(self, tmp_path, command, overrides, code, stderr):
+        cfg = write_config(tmp_path, overrides)
+        out = tmp_path / "out"
+        args = ["-m", "klbasis.cli", command, "--config", str(cfg), "--out-dir", str(out)]
+        result = run_python(args)
+        assert (result.returncode, result.stderr) == (code, stderr)
+        assert out.exists() == (code == 0)
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_refused_allocation_exits_2(self, tmp_path, command):
+        # the (2e7, 28) family values need 4.17 GiB, past a 2 GiB address space
+        cfg = write_config(tmp_path, {"sampling": {"N_s": 20_000_000}})
+        out = tmp_path / "out"
+        args = ["-m", "klbasis.cli", command, "--config", str(cfg), "--out-dir", str(out)]
+        result = run_python(args, limit=2 << 30)
+        assert result.returncode == 2
+        refused = r"numerical error: out of memory: Unable to allocate [^\n]*\n"
+        assert re.fullmatch(refused, result.stderr)
+        assert result.stdout == ""
+        assert not out.exists()
+
+    def test_memory_error_without_a_message(self, tmp_path, monkeypatch, capsys):
+        # Python's own MemoryError, as a huge family.n_max raises, is empty
+        def exhausted(config):
+            raise MemoryError
+
+        monkeypatch.setitem(cli._COMMANDS, "gen-basis", exhausted)
+        assert run(["gen-basis", "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "numerical error: out of memory\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestDeterminism:

@@ -1,5 +1,6 @@
-"""The public name lists: a name deleted from a module must leave its
-`__all__` and the package's imports too, or a star import fails."""
+"""The public name lists: the package star-imports each module's
+`__all__`, so a name deleted from a module must leave its `__all__` too,
+or importing the package fails."""
 
 import importlib
 import pkgutil

@@ -21,7 +21,6 @@ from klbasis.hydrogenic import (
     radial_norm,
     radial_wavefunction,
     reduced_eigenstate,
-    reduced_ground_state,
 )
 
 
@@ -159,27 +158,29 @@ class TestRadialWavefunction:
 
 class TestReducedGroundState:
     def test_boundary_values(self):
-        assert reduced_ground_state(7.0, 1e-4, 7.0) == pytest.approx(1e-4, rel=1e-15)
-        assert reduced_ground_state(7.0, 1e-4, 0.0) == 0.0
+        y_b = reduced_eigenstate(OrbitalSpec(1, 0), 7.0, 1e-4, 7.0)
+        assert y_b == pytest.approx(1e-4, rel=1e-15)
+        assert reduced_eigenstate(OrbitalSpec(1, 0), 7.0, 1e-4, 0.0) == 0.0
 
     def test_interior_value(self):
         # y(1) = 1e-4 * (1/7) * e^6
         expected = 1e-4 * math.exp(6.0) / 7.0
-        assert reduced_ground_state(7.0, 1e-4, 1.0) == pytest.approx(expected, rel=1e-14)
+        y_1 = reduced_eigenstate(OrbitalSpec(1, 0), 7.0, 1e-4, 1.0)
+        assert y_1 == pytest.approx(expected, rel=1e-14)
         assert expected == pytest.approx(5.763268478467644e-3, rel=1e-12)
 
     def test_rejects_points_outside_domain(self):
         with pytest.raises(ValueError):
-            reduced_ground_state(7.0, 1e-4, 7.5)
+            reduced_eigenstate(OrbitalSpec(1, 0), 7.0, 1e-4, 7.5)
         with pytest.raises(ValueError):
-            reduced_ground_state(7.0, 1e-4, -0.1)
+            reduced_eigenstate(OrbitalSpec(1, 0), 7.0, 1e-4, -0.1)
 
     def test_satisfies_radial_equation(self):
         # y = C x e^{b-x} gives y'' = C (x-2) e^{b-x}; check
         # -y''/2 - y/x - E y = 0 with E = -1/2 at the rounding level.
         b, y_f = 7.0, 1e-4
         x = np.linspace(0.011, b, 500)
-        y = reduced_ground_state(b, y_f, x)
+        y = reduced_eigenstate(OrbitalSpec(1, 0), b, y_f, x)
         ypp = (y_f / b) * (x - 2.0) * np.exp(b - x)
         res = -0.5 * ypp - y / x + 0.5 * y
         assert np.max(np.abs(res) - 1e-10 * np.abs(0.5 * y)) <= 0.0
@@ -220,7 +221,7 @@ class TestReducedEigenstate:
     def test_overflow_raises(self):
         # y_f (x/b) exp(b - x) passes 1e308 near the origin on [0, 1000]
         with pytest.raises(NumericalError, match="1s reference overflows"):
-            reduced_ground_state(1000.0, 1e-4, np.linspace(0.0, 1000.0, 201))
+            reduced_eigenstate(OrbitalSpec(1, 0), 1000.0, 1e-4, np.linspace(0.0, 1000.0, 201))
 
 
 _ORACLE_1S = {"l": 0, "Z": 1.0, "E": -0.5, "a": 0.0, "b": 7.0, "y_a": 0.0, "y_f": 1e-4}
@@ -258,7 +259,9 @@ class TestNumerovOracle:
     def test_matches_closed_form(self, reproduction_bvp):
         sol = numerov_oracle(reproduction_bvp, 100_000)
         mask = sol.x >= 0.1 * reproduction_bvp.b
-        ref = reduced_ground_state(reproduction_bvp.b, reproduction_bvp.y_f, sol.x[mask])
+        ref = reduced_eigenstate(
+            OrbitalSpec(1, 0), reproduction_bvp.b, reproduction_bvp.y_f, sol.x[mask]
+        )
         rel = np.max(np.abs(sol.y[mask] - ref) / np.abs(ref))
         assert rel <= 1e-6
         assert abs(sol.y[-1] - reproduction_bvp.y_f) <= 1e-12 * reproduction_bvp.y_f
