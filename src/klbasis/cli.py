@@ -245,9 +245,15 @@ def run_pipeline(config: dict) -> PipelineResult:
     """Samples -> centering -> covariance -> eigenbasis -> truncation ->
     interpolated basis functions."""
     fam, samp, trunc = config["family"], config["sampling"], config["truncation"]
-    family = make_family(int(fam["n_max"]), float(fam["Z"]))
-    points = sampling.make_grid(samp["kind"], int(samp["N_s"]), float(samp["a"]), float(samp["b"]))
-    samples = sampling.build_sample_matrix(family, points)
+    n_max, n_s = int(fam["n_max"]), int(samp["N_s"])
+    # sized before the family is built, so one the host cannot hold fails at once
+    try:
+        samples = np.empty((n_s, n_max * (n_max + 1) // 2))
+    except ValueError as err:  # past the largest array numpy can index
+        raise MemoryError(str(err)) from err
+    family = make_family(n_max, float(fam["Z"]))
+    points = sampling.make_grid(samp["kind"], n_s, float(samp["a"]), float(samp["b"]))
+    sampling.build_sample_matrix(family, points, out=samples)
     centered = klcore.center_columns(samples)
     K = klcore.covariance(centered)
     trace = float(np.trace(K))

@@ -442,8 +442,13 @@ def numerov_oracle(bvp: BoundaryValueProblem, n_points: int) -> NumerovSolution:
 
     from_origin = bvp.a == 0.0 and bvp.y_a == 0.0
     if from_origin:
+        seeds = [float(_regular_series(bvp, t)) for t in x[1:3]]
+        if not any(seeds):
+            raise NumericalError(
+                f"the regular series x^(l+1) underflows to 0 at both start points, l = {bvp.l}"
+            )
         u = np.zeros(n_points)
-        v = _numerov_sweep([0.0, *(float(_regular_series(bvp, t)) for t in x[1:3])], coef, incr)
+        v = _numerov_sweep([0.0, *seeds], coef, incr)
     else:
         u = _numerov_sweep([bvp.y_a, bvp.y_a], coef, incr)
         v = _numerov_sweep([0.0, h], coef, incr)

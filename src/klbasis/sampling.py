@@ -55,12 +55,15 @@ def make_grid(kind: str, n_s: int, a: float, b: float) -> np.ndarray:
     return pts
 
 
-def build_sample_matrix(family: tuple[OrbitalSpec, ...], points: np.ndarray) -> np.ndarray:
+def build_sample_matrix(
+    family: tuple[OrbitalSpec, ...], points: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Sample every orbital of the family at the points, the whole family
     in one pass: values[i, j] = x_i * R_j(x_i), the reduced radial form
-    that vanishes at the origin."""
+    that vanishes at the origin. Written into `out` when given, a
+    (points, orbitals) array the caller sized before building the family."""
     x = np.asarray(points, dtype=float)
-    return x[:, None] * family_values(family, x)
+    return np.multiply(x[:, None], family_values(family, x), out=out)
 
 
 def sample_matrix_csv_text(

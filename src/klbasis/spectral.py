@@ -325,9 +325,11 @@ def energy_scan(
     A failed solve, or a residual norm that is not finite (its squares
     overflow), marks its row 'failed: <reason>' and its norm NaN.
 
-    The discrete minimum is refined by the vertex of the parabola through
-    it and its neighbors; a minimum on the scan edge is reported with
-    status 'boundary-minimum' instead.
+    The first discrete minimum E_0 is refined by the vertex of the parabola
+    through it and its neighbors, E_0 + (h/2) (d- - d+) / (d- + d+) in
+    their rises d- > 0 and d+ >= 0 above it, so within half a step h of
+    E_0; a minimum on the scan edge or next to a failed row is reported
+    unrefined with status 'boundary-minimum'.
     """
     if not e_lo < e_hi:
         raise ValueError(f"need e_lo < e_hi, got {e_lo}, {e_hi}")
@@ -347,17 +349,14 @@ def energy_scan(
     if not np.any(ok):
         raise NumericalError("no scan point solved successfully")
     idx = int(np.nanargmin(norms))
+    refined = float(energies[idx])
     if idx == 0 or idx == n_steps - 1 or not (ok[idx - 1] and ok[idx + 1]):
-        refined = float(energies[idx])
         status = "boundary-minimum"
     else:
-        r_prev, r_mid, r_next = norms[idx - 1], norms[idx], norms[idx + 1]
-        denom = r_prev - 2.0 * r_mid + r_next
-        step = energies[1] - energies[0]
-        if denom <= 0.0:
-            refined = float(energies[idx])
-        else:
-            refined = float(energies[idx] + 0.5 * step * (r_prev - r_next) / denom)
+        # Python floats, whose sum overflows to inf without a warning
+        rise_prev, rise_next = (norms[[idx - 1, idx + 1]] - norms[idx]).tolist()
+        half_step = 0.5 * float(energies[1] - energies[0])
+        refined += half_step * ((rise_prev - rise_next) / (rise_prev + rise_next))
         status = "interior"
     return EnergyScan(
         energies=energies,

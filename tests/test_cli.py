@@ -904,6 +904,19 @@ class TestSolve:
         )
         assert not out.exists()
 
+    def test_oracle_seed_underflow_exits_2(self, tmp_path, capsys):
+        # off its eigenvalue the l 120 state takes the Numerov reference, whose
+        # regular-series start x^121 is 0 at both of its first grid points
+        problem = {"n": 121, "l": 120, "E": -0.1}
+        cfg = write_config(tmp_path, {"problem": problem})
+        out = tmp_path / "out"
+        assert run(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "numerical error: the regular series x^(l+1) underflows to 0 at both "
+            "start points, l = 120\n"
+        )
+        assert not out.exists()
+
     def test_excited_state_error_against_exact_solution(self, tmp_path):
         # the same metric computed against the exact 2p solution x^2 e^{-x/2}
         exact = 0.003076836889356907
@@ -1112,9 +1125,10 @@ for command in cli._COMMANDS:
 """
 
 
-def run_python(args, limit=None) -> subprocess.CompletedProcess:
+def run_python(args, limit=None, timeout=None) -> subprocess.CompletedProcess:
     """A child Python process that imports klbasis from this tree, its
-    address space capped at `limit` bytes when one is given."""
+    address space capped at `limit` bytes when one is given, killed after
+    `timeout` seconds (raising `subprocess.TimeoutExpired`)."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     cap = None if limit is None else lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
     return subprocess.run(
@@ -1123,6 +1137,7 @@ def run_python(args, limit=None) -> subprocess.CompletedProcess:
         preexec_fn=cap,
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
 
 
@@ -1172,8 +1187,27 @@ class TestProcess:
         assert result.stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "n_max, refused",
+        [(100_000, "Unable to allocate "), (2**53 - 1, "")],
+        ids=["n_max-1e5", "n_max-past-numpy"],
+    )
+    def test_huge_family_exits_2_at_once(self, tmp_path, n_max, refused):
+        # the 20 x n_max (n_max + 1) / 2 sample matrix is sized before any of
+        # its orbitals is built: 745 GiB at 1e5, past numpy's largest array
+        # at 2**53 - 1, which raises ValueError, not MemoryError
+        cfg = write_config(tmp_path, {"family": {"n_max": n_max}})
+        out = tmp_path / "out"
+        args = ["-m", "klbasis.cli", "gen-basis", "--config", str(cfg), "--out-dir", str(out)]
+        result = run_python(args, limit=1 << 30, timeout=10)
+        assert result.returncode == 2
+        pattern = rf"numerical error: out of memory: {refused}[^\n]+\n"
+        assert re.fullmatch(pattern, result.stderr)
+        assert not out.exists()
+
     def test_memory_error_without_a_message(self, tmp_path, monkeypatch, capsys):
-        # Python's own MemoryError, as a huge family.n_max raises, is empty
+        # Python's own MemoryError, as a list or tuple too large to allocate
+        # raises, is empty
         def exhausted(config):
             raise MemoryError
 

@@ -362,15 +362,23 @@ class TestNumerovOracle:
             # b sits near a node of v, and y = s v is finite at b but
             # overflows on the hump before it
             ({"l": 10, "E": 0.5, "b": 17.634, "y_f": 1e305}, _SUPERPOSED_OVERFLOW),
-            # x^(l+1) underflows at both seed points, so v is zero throughout
-            ({"l": 200}, "unit-slope sweep vanishes at b; no slope matches y(b)"),
+            # x^(l+1) underflows at both seed points, from l 102 on [0, 7] at 2e4
+            # points, so v would be zero throughout
+            (
+                {"l": 200},
+                "the regular series x^(l+1) underflows to 0 at both start points, l = 200",
+            ),
+            (
+                {"l": 102, "E": -0.1},
+                "the regular series x^(l+1) underflows to 0 at both start points, l = 102",
+            ),
             # s = 1e-300 / v(b) is below the subnormals and rounds to 0, so
             # y = s v is 0 everywhere: finite, but y(b) is not y_f
             ({"E": -0.45, "b": 100.0, "y_f": 1e-300}, f"{_SLOPE_UNDERFLOW}, v(b) = -1.76e+37"),
         ],
         ids=[
             "slope", "slope-numpy-E-0.1", "slope-numpy-E0", "y_a", "superposed-at-b",
-            "superposed-inside", "vanishing-v", "slope-under",
+            "superposed-inside", "seed-underflow", "seed-underflow-l102", "slope-under",
         ],
     )
     def test_failure_names_its_cause(self, problem, message):
@@ -379,6 +387,24 @@ class TestNumerovOracle:
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
                 numerov_oracle(bvp, 20_000)
+
+    def test_one_subnormal_seed_starts_the_sweep(self, monkeypatch):
+        # on [0, 7] at 2e4 points l 101 is the last l whose seeds are not
+        # both 0: x_1^102 underflows, x_2^102 is subnormal
+        bvp = BoundaryValueProblem(**{**_ORACLE_1S, "l": 101, "E": -0.1})
+        calls = _record_sweeps(monkeypatch)
+        sol = numerov_oracle(bvp, 20_000)
+        [(start, _, _)] = calls
+        assert start[:2] == [0.0, 0.0] and 0.0 < start[2] < sys.float_info.min
+        assert sol.y[-1] == bvp.y_f
+
+    def test_vanishing_unit_slope_sweep(self, monkeypatch):
+        # no seeded sweep is known to end on exactly 0, so a sweep is made to
+        monkeypatch.setattr(hydrogenic, "_numerov_sweep", lambda start, coef, incr: 0.0 * coef)
+        bvp = BoundaryValueProblem(**_ORACLE_1S)
+        message = "unit-slope sweep vanishes at b; no slope matches y(b)"
+        with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
+            numerov_oracle(bvp, 1000)
 
     @example(problem={**_ORACLE_1S, "E": -0.45, "b": 100.0, "y_f": 1e-300})
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)

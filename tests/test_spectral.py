@@ -4,6 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import count_kernel_calls, scaled_rel_l2
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from klbasis import basisfn, cli, klcore, spectral
 from klbasis.errors import NumericalError
@@ -496,6 +498,42 @@ class TestEnergyScan:
         assert scan.argmin_energy == pytest.approx(vertex, abs=1e-15)
         # refinement moves off the grid point toward the true minimum
         assert e[0] < scan.argmin_energy < e[2]
+
+    def test_refines_norms_whose_double_overflows(
+        self, monkeypatch, reproduction_funcs8, reproduction_bvp
+    ):
+        # 2 r_0 overflows here, but the rises r_-1 - r_0 and r_1 - r_0 do not
+        norms = [1.5e308, 1.2e308, 1.0e308, 1.1e308, 1.4e308]
+        monkeypatch.setattr(
+            spectral._Tabulation, "relative_norm", lambda self, c, e: np.array(norms)
+        )
+        scan = energy_scan(reproduction_bvp, reproduction_funcs8, -0.7, -0.3, 5)
+        assert scan.argmin_status == "interior"
+        assert scan.argmin_energy == -0.48333333333333334  # -0.5 + 0.1 / 6
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        norms=st.lists(st.floats(0.0, np.finfo(float).max), min_size=3, max_size=9),
+        e_lo=st.floats(-1.0, -0.2),
+        width=st.floats(1e-6, 0.8),
+    )
+    def test_refinement_within_half_a_step(
+        self, reproduction_funcs8, reproduction_bvp, norms, e_lo, width
+    ):
+        # ties included: the first minimum has d- > 0 and d+ >= 0
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                spectral._Tabulation, "relative_norm", lambda self, c, e: np.array(norms)
+            )
+            scan = energy_scan(
+                reproduction_bvp, reproduction_funcs8, e_lo, e_lo + width, len(norms)
+            )
+        event(scan.argmin_status)
+        if scan.argmin_status != "interior":
+            return
+        e = scan.energies
+        e_min, half = e[np.argmin(norms)], 0.5 * (e[1] - e[0])
+        assert e_min - half <= scan.argmin_energy <= e_min + half
 
     def test_failures_marked_not_fatal(
         self, monkeypatch, reproduction_funcs8, reproduction_bvp
