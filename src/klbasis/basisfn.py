@@ -65,7 +65,7 @@ class BasisFunction:
     nodes: np.ndarray
     samples: np.ndarray
     weights: np.ndarray = field(init=False, repr=False)
-    _derivs: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    _blocks: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -90,7 +90,7 @@ class BasisFunction:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_derivs", (d1, d2))
+        object.__setattr__(self, "_blocks", (samples, d1, d2))
 
     @property
     def a(self) -> float:
@@ -100,12 +100,13 @@ class BasisFunction:
     def b(self) -> float:
         return float(self.nodes[-1])
 
-    def _interpolate(self, values: np.ndarray, x):
-        """Barycentric interpolant of `values` (one row per node) at x:
-        (len(x) x M) for array x, (M,) for scalar x. A point on a node
-        returns that node's row exactly. Raises NumericalError when the
-        result is not finite: on many equispaced nodes the weights span so
-        many orders of magnitude that the kernel's denominator cancels."""
+    def tabulate(self, x, *orders: int) -> tuple[np.ndarray, ...]:
+        """One barycentric kernel at x applied to S, D S or D^2 S per order
+        0, 1 or 2: (len(x) x M) blocks for array x, (M,) for scalar x, a
+        node's own row on a node. NumericalError when a block is not finite:
+        on many equispaced nodes the kernel's denominator cancels."""
+        if not set(orders) <= {0, 1, 2}:
+            raise ValueError(f"tabulated orders must be 0, 1 or 2, got {orders}")
         xa = np.atleast_1d(np.asarray(x, dtype=float))
         if (xa < self.nodes[0]).any() or (xa > self.nodes[-1]).any():
             raise ValueError(
@@ -118,21 +119,22 @@ class BasisFunction:
             # rows with a node hit divide by zero here and are replaced
             L = self.weights / diff
             L[on_node] = hit[on_node]
-            out = (L / L.sum(axis=1, keepdims=True)) @ values
-        if not np.isfinite(out).all():
+            kernel = L / L.sum(axis=1, keepdims=True)
+            out = tuple(kernel @ self._blocks[k] for k in orders)
+        if not all(np.isfinite(o).all() for o in out):
             raise NumericalError(
                 f"barycentric interpolation on {self.nodes.size} nodes is not finite; "
                 "use fewer nodes or Chebyshev-Lobatto sampling"
             )
-        return out if np.ndim(x) else out[0]
+        return out if np.ndim(x) else tuple(o[0] for o in out)
 
     def eval(self, x):
-        return self._interpolate(self.samples, x)
+        return self.tabulate(x, 0)[0]
 
     def deriv(self, x, order: int = 1):
         if order not in (1, 2):
             raise ValueError(f"derivative order must be 1 or 2, got {order}")
-        return self._interpolate(self._derivs[order - 1], x)
+        return self.tabulate(x, order)[0]
 
 
 def interpolate(basis: KLBasis) -> BasisFunction:

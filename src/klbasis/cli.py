@@ -11,14 +11,15 @@ Configuration is a single JSON document whose keys, defaults and checks
 form one table, `_SCHEMA`; ``--config`` points at it and ``--out-dir`` /
 ``--seed`` override the corresponding entries. Each subcommand returns its
 artifacts and `main` writes them. Exit codes: 0 success, 1 a usage or
-configuration error, 2 a classified numerical failure (`NumericalError`)
-or an allocation the host refuses; any other exception is a defect and
-propagates.
+configuration error or an artifact the OS refuses to write, 2 a classified
+numerical failure (`NumericalError`) or an allocation the host refuses;
+any other exception is a defect and propagates.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import functools
 import json
@@ -167,7 +168,7 @@ def load_config(path: str | None, out_dir: str | None = None, seed: int | None =
     user = {}
     if path is not None:
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 user = json.load(fh)
         except OSError as err:
             raise ConfigError(f"cannot read config file: {err}") from err
@@ -541,11 +542,24 @@ def main(argv=None) -> int:
         detail = f": {err}" if str(err) else ""  # numpy names the allocation
         print(f"numerical error: out of memory{detail}", file=sys.stderr)
         return 2
+    # a failed write removes every artifact this run wrote, a partial one too
     out_dir = Path(config["output"]["directory"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, content in artifacts.items():
-        write = csvio.write_json if name.endswith(".json") else csvio.write_text
-        print(f"wrote {write(out_dir / name, content)}")
+    target, written = out_dir, []
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, content in artifacts.items():
+            target = out_dir / name
+            written.append(target)
+            write = csvio.write_json if name.endswith(".json") else csvio.write_text
+            write(target, content)
+    except OSError as err:
+        for path in written:
+            with contextlib.suppress(OSError):  # a directory in an artifact's place stays
+                path.unlink()
+        print(f"output error: cannot write {target}: {err.strerror or err}", file=sys.stderr)
+        return 1
+    for path in written:
+        print(f"wrote {path}")
     return 0
 
 

@@ -26,11 +26,10 @@ def csv_text(header: Sequence[str], rows: np.ndarray | Iterable[Sequence]) -> st
 
 
 def write_text(path: str | Path, text: str) -> Path:
-    """Write text as is, with LF line endings on every platform."""
-    path = Path(path)
-    with open(path, "w", newline="\n") as fh:
+    """Write text as is, UTF-8 with LF line endings on every platform."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
-    return path
+    return Path(path)
 
 
 def write_json(path: str | Path, doc: dict) -> Path:
@@ -40,7 +39,7 @@ def write_json(path: str | Path, doc: dict) -> Path:
 
 def read_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
     """Read back a CSV written by this module; cells stay as strings."""
-    with open(path, "r", newline="\n") as fh:
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:
         lines = [ln for ln in fh.read().split("\n") if ln]
     header = lines[0].split(",")
     return header, [ln.split(",") for ln in lines[1:]]

@@ -63,7 +63,7 @@ class _Tabulation:
     @classmethod
     def at(cls, bvp: BoundaryValueProblem, basis: BasisFunction, x) -> _Tabulation:
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        return cls(basis.eval(x), basis.deriv(x, order=2), bvp.potential(x))
+        return cls(*basis.tabulate(x, 0, 2), bvp.potential(x))
 
     def operator(self, energy) -> np.ndarray:
         """Rows -phi''/2 + (V - E) phi, one per point; (K, points, M) for K energies."""
@@ -100,13 +100,12 @@ class CollocationProblem:
     picks the interior points where the equation is imposed: the basis
     nodes strictly inside (a, b) when they and the two boundary rows
     determine the M coefficients, else M - 2 uniform ones (the usual case
-    for a basis built on a wider domain). It tabulates the basis there and
-    at a and b, and solves the boundary rows B c = (y_a, y_f) once: their
-    SVD gives the pseudo-inverse B+, the minimum-norm coefficients
-    c_p = B+ (y_a, y_f) and the null space N of B. The rank counts the
-    singular values above 1e-14 of the largest mode sample, so a row that
-    is zero on the modes' own scale (y(0) of rR modes) removes no
-    direction. None of it depends on E."""
+    for a basis built on a wider domain). One kernel reads the basis there
+    and at a and b. The SVD of the boundary rows B c = (y_a, y_f) gives the
+    pseudo-inverse B+, the minimum-norm c_p = B+ (y_a, y_f) and the null
+    space N of B; its rank counts singular values above 1e-14 of the largest
+    mode sample, so a row zero on the modes' own scale (y(0) of rR modes)
+    removes no direction. None of it depends on E."""
 
     bvp: BoundaryValueProblem
     basis: BasisFunction
@@ -136,14 +135,16 @@ class CollocationProblem:
                     f"{m - 2} interior collocation points do not fit strictly inside "
                     f"the problem domain [{bvp.a}, {bvp.b}]"
                 )
-        boundary = basis.eval([bvp.a, bvp.b])
+        values, second = basis.tabulate(np.r_[pts, bvp.a, bvp.b], 0, 2)
+        boundary = values[-2:]
         u, s, vt = np.linalg.svd(boundary)
         rank = int(np.count_nonzero(s > _CUT * np.max(np.abs(basis.samples))))
         pinv = vt[:rank].T / s[:rank] @ u[:, :rank].T
         with np.errstate(over="ignore", invalid="ignore"):
             particular = pinv @ [bvp.y_a, bvp.y_f]
         object.__setattr__(self, "interior_points", pts)
-        object.__setattr__(self, "_interior", _Tabulation.at(bvp, basis, pts))
+        interior = _Tabulation(values[:-2], second[:-2], bvp.potential(pts))
+        object.__setattr__(self, "_interior", interior)
         object.__setattr__(self, "_boundary", boundary)
         object.__setattr__(self, "_pinv", pinv)
         object.__setattr__(self, "_particular", particular)

@@ -105,6 +105,36 @@ class TestDerivatives:
             assert f.deriv(float(x), order=2) == d2[i]
 
 
+class TestTabulate:
+    NODES = cheb_nodes(12, 0.0, 3.0)
+    FUNCS = BasisFunction(NODES, np.column_stack([np.sin(NODES), np.exp(-NODES)]))
+
+    @pytest.mark.parametrize(
+        "x",
+        [np.linspace(0.1, 2.9, 7), 1.234, NODES[3], NODES[[0, 5, 11]], np.array([])],
+        ids=["array", "scalar", "on-node", "on-nodes", "empty"],
+    )
+    def test_blocks_equal_eval_and_deriv(self, x):
+        f = self.FUNCS
+        values, first, second = f.tabulate(x, 0, 1, 2)
+        assert np.array_equal(values, f.eval(x))
+        assert np.array_equal(first, f.deriv(x, order=1))
+        assert np.array_equal(second, f.deriv(x, order=2))
+        assert values.shape == np.shape(x) + (2,)
+
+    def test_blocks_in_the_order_asked(self):
+        x = np.linspace(0.2, 2.8, 5)
+        second, values = self.FUNCS.tabulate(x, 2, 0)
+        assert np.array_equal(second, self.FUNCS.deriv(x, order=2))
+        assert np.array_equal(values, self.FUNCS.eval(x))
+        assert self.FUNCS.tabulate(x) == ()
+
+    @pytest.mark.parametrize("order", [-1, 3, 0.5])
+    def test_rejects_other_orders(self, order):
+        with pytest.raises(ValueError, match="tabulated orders must be 0, 1 or 2"):
+            self.FUNCS.tabulate(1.0, 0, order)
+
+
 class TestPolynomialExactness:
     @pytest.mark.parametrize(
         "nodes",

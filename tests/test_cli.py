@@ -1,4 +1,5 @@
 import copy
+import errno
 import inspect
 import json
 import math
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import count_kernel_calls
 
-from klbasis import cli, klcore, sampling
+from klbasis import cli, csvio, klcore, sampling
 from klbasis.csvio import read_csv
 from klbasis.errors import ConfigError, NumericalError
 from klbasis.hydrogenic import OrbitalSpec, numerov_oracle, radial_wavefunction
@@ -927,11 +928,11 @@ class TestSolve:
         assert abs(rel - exact) <= 1e-9 * exact
 
     def test_export_grid_tabulated_once(self, tmp_path, monkeypatch):
-        # 3 kernel calls build the collocation problem, 2 tabulate the export
-        # grid, 1 the mid window and 2 the residual-norm grid
+        # one kernel each: the collocation problem's interior and boundary
+        # points, the export grid, the mid window and the residual-norm grid
         calls = count_kernel_calls(monkeypatch)
         assert run(["solve", "--out-dir", str(tmp_path / "out")]) == 0
-        assert len(calls) == 8
+        assert len(calls) == 4
 
     def test_unstable_interpolant_fails_without_warnings(self, tmp_path, capsys):
         # on 120 equispaced nodes the barycentric weights span about 35
@@ -1041,6 +1042,12 @@ class TestScanEnergy:
 
 
 class TestCompareBases:
+    def test_two_kernels_per_basis(self, tmp_path, monkeypatch):
+        # per candidate basis: its collocation problem and its mid window
+        calls = count_kernel_calls(monkeypatch)
+        assert run(["compare-bases", "--out-dir", str(tmp_path / "out")]) == 0
+        assert len(calls) == 6
+
     def test_kl_wins_reconstruction(self, tmp_path):
         out = tmp_path / "out"
         assert run(["compare-bases", "--out-dir", str(out)]) == 0
@@ -1125,15 +1132,16 @@ for command in cli._COMMANDS:
 """
 
 
-def run_python(args, limit=None, timeout=None) -> subprocess.CompletedProcess:
+def run_python(args, limit=None, timeout=None, env=None) -> subprocess.CompletedProcess:
     """A child Python process that imports klbasis from this tree, its
     address space capped at `limit` bytes when one is given, killed after
-    `timeout` seconds (raising `subprocess.TimeoutExpired`)."""
+    `timeout` seconds (raising `subprocess.TimeoutExpired`), with the
+    variables in `env` added to this process's environment."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     cap = None if limit is None else lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
     return subprocess.run(
         [sys.executable, *args],
-        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1", **(env or {})},
         preexec_fn=cap,
         capture_output=True,
         text=True,
@@ -1205,6 +1213,36 @@ class TestProcess:
         assert re.fullmatch(pattern, result.stderr)
         assert not out.exists()
 
+    @pytest.mark.parametrize("artifact", ["solution.csv", "residual.csv", "report.json"])
+    def test_artifact_path_taken_by_a_directory(self, tmp_path, artifact):
+        # the OS refuses the write; the artifacts written before it are deleted
+        out = tmp_path / "out"
+        (out / artifact).mkdir(parents=True)
+        result = run_python(["-m", "klbasis.cli", "solve", "--out-dir", str(out)])
+        assert result.returncode == 1
+        assert result.stderr == f"output error: cannot write {out / artifact}: Is a directory\n"
+        assert result.stdout == ""
+        assert [p.name for p in out.iterdir()] == [artifact]
+
+    def test_config_is_utf8_under_an_ascii_locale(self, tmp_path):
+        # RFC 8259 section 8.1: JSON text is UTF-8 whatever the locale says
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes('{"problem": {"\u00e9nergie": 1}}'.encode())
+        ascii_locale = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+        args = ["-m", "klbasis.cli", "solve", "--config", str(cfg)]
+        result = run_python(args, env=ascii_locale)
+        assert result.returncode == 1
+        assert result.stderr.startswith("config error: unknown config key 'problem.")
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_every_file_opened_with_an_encoding(self, tmp_path, command):
+        cfg = write_config(tmp_path, {})
+        out = tmp_path / "out"
+        args = ["-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-m",
+                "klbasis.cli", command, "--config", str(cfg), "--out-dir", str(out)]
+        result = run_python(args)
+        assert (result.returncode, result.stderr) == (0, "")
+
     def test_memory_error_without_a_message(self, tmp_path, monkeypatch, capsys):
         # Python's own MemoryError, as a list or tuple too large to allocate
         # raises, is empty
@@ -1215,6 +1253,38 @@ class TestProcess:
         assert run(["gen-basis", "--out-dir", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == "numerical error: out of memory\n"
         assert not (tmp_path / "out").exists()
+
+
+class TestFailedWrite:
+    def test_partial_artifact_deleted(self, tmp_path, monkeypatch, capsys):
+        # the disk fills halfway through the second artifact
+        write_text = csvio.write_text
+
+        def full_disk(path, text):
+            if path.name == "residual.csv":
+                write_text(path, text[:10])
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return write_text(path, text)
+
+        monkeypatch.setattr(csvio, "write_text", full_disk)
+        out = tmp_path / "out"
+        assert run(["solve", "--out-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        message = f"output error: cannot write {out / 'residual.csv'}: No space left on device\n"
+        assert (captured.out, captured.err) == ("", message)
+        assert list(out.iterdir()) == []
+
+    def test_output_directory_refused(self, tmp_path, monkeypatch, capsys):
+        def refused(self, *args, **kwargs):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+
+        monkeypatch.setattr(Path, "mkdir", refused)
+        out = tmp_path / "out"
+        assert run(["gen-basis", "--out-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        message = f"output error: cannot write {out}: Permission denied\n"
+        assert (captured.out, captured.err) == ("", message)
+        assert not out.exists()
 
 
 class TestDeterminism:

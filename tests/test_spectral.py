@@ -64,6 +64,9 @@ DIRECT_PATH = {
     "problem": {"E": -0.499, "a": 1.0, "b": 7.0},
 }
 
+# 30 modes on 60 Chebyshev nodes, 58 of them strictly inside (0, 7)
+CHEBYSHEV_60 = {"sampling": {"kind": "chebyshev-lobatto", "N_s": 60}, "truncation": {"value": 30}}
+
 
 SCAN_CASES = pytest.mark.parametrize(
     "overrides, e_lo, e_hi, n_failed",
@@ -120,6 +123,22 @@ class TestAssemble:
         for e, rows in zip(energies, stack):
             at_e = CollocationProblem(replace(reproduction_bvp, E=e), reproduction_funcs8)
             assert np.array_equal(rows, assemble(at_e)[0][:-2])
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, EXCITED_2P, FAILING_ROWS, DIRECT_PATH, CHEBYSHEV_60],
+        ids=["1s", "2p", "failing-rows", "direct-path", "chebyshev-60"],
+    )
+    def test_one_read_equals_separate_reads(self, overrides):
+        # the interior and boundary rows come from one kernel on the interior
+        # points followed by a and b, with the bits of three separate reads
+        bvp, funcs = pipeline_case(overrides)
+        problem = CollocationProblem(bvp, funcs)
+        pts = problem.interior_points
+        assert np.array_equal(problem._boundary, funcs.eval([bvp.a, bvp.b]))
+        assert np.array_equal(problem._interior.values, funcs.eval(pts))
+        assert np.array_equal(problem._interior.second, funcs.deriv(pts, order=2))
+        assert np.array_equal(problem._interior.potential, bvp.potential(pts))
 
     def test_single_function_basis_rejected(self):
         # a 1-d BasisFunction is one function, not an (N_s x M) basis
@@ -343,8 +362,8 @@ class TestResidualNormAndMonotonicity:
     def test_one_kernel_call_per_matrix(
         self, monkeypatch, reproduction_funcs8, reproduction_bvp
     ):
-        # the norm evaluates the solution once: its values and its second
-        # derivative, and gives the bits of the plain formula
+        # the norm reads the solution's values and second derivative from
+        # one kernel, and gives the bits of the plain formula
         sol = solve(CollocationProblem(reproduction_bvp, reproduction_funcs8))
         dense = spectral._scan_grid(reproduction_bvp)
         y = sol.eval(dense)
@@ -354,7 +373,7 @@ class TestResidualNormAndMonotonicity:
         expected = float(np.sqrt(np.mean(res * res))) / float(np.sqrt(np.mean(y * y)))
         calls = count_kernel_calls(monkeypatch)
         assert relative_residual_norm(sol, dense) == expected
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_completeness_monotonicity(self, reproduction_pipeline, reproduction_bvp):
         dense = spectral._scan_grid(reproduction_bvp)
@@ -475,7 +494,8 @@ class TestEnergyScan:
             calls.clear()
             energy_scan(reproduction_bvp, reproduction_funcs8, -0.7, -0.3, n_steps)
             counts.append(len(calls))
-        assert counts[0] == counts[1]
+        # the collocation problem's points and the residual-norm grid
+        assert counts == [2, 2]
 
     def test_reproduction_scan(self, reproduction_funcs8, reproduction_bvp):
         scan = energy_scan(reproduction_bvp, reproduction_funcs8, -0.7, -0.3, 41)
